@@ -1,0 +1,8 @@
+"""Import cuspcal from the source tree next to the benchmark."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
