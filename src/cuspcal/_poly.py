@@ -143,20 +143,6 @@ class PolyMat2:
             return PolyMat1.zero(self.system_size)
         return PolyMat1(table, self.system_size)
 
-    def eval_poly_x(self, x):
-        """Partial evaluation in x, returning the z-polynomial at fixed x."""
-        table = {}
-        for (dx, dz), c in self.coeffs.items():
-            table[dz] = table.get(dz, 0) + (x**dx) * c
-        if not table:
-            return PolyMat1.zero(self.system_size)
-        return PolyMat1(table, self.system_size)
-
-    def max_degrees(self):
-        dx = max((d for d, _ in self.coeffs), default=0)
-        dz = max((d for _, d in self.coeffs), default=0)
-        return dx, dz
-
 
 class Jet:
     """Truncated Taylor series sum_j c[j] eps^j with matrix coefficients."""

@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 assertion failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from .discrete import (
     symbol_probe,
     _frozen_interface_symbol,
 )
-from .errors import CuspcalError, NotComplementary, SchemaError
+from .errors import CuspcalError, NotComplementary, SchemaError, SolveFailure
 from .fibre import (
     Fibre,
     FibreExtension,
@@ -39,9 +40,10 @@ from .fibre import (
 )
 from .linalg import direct_sum_check, fro
 from .suites import CRITERIA, VerifyConfig, run_criteria
-from .symbols import calderon_symbol, dn_symbol
+from .symbols import calderon_symbol, dn_from_projector
 
 
+@functools.cache
 def build_identifier():
     """git-describe-style identifier of the build, stable within a tree."""
     try:
@@ -137,12 +139,6 @@ class RunConfig:
 
 
 _GEOMETRIES = ("HalfLineToy", "StripHyperbolic", "CuspDomain", "ExteriorToy")
-
-
-def _expect(cond, path, reason, errors):
-    if not cond:
-        errors.append(SchemaError(path, reason))
-    return cond
 
 
 def parse_config(text):
@@ -264,7 +260,7 @@ def default_extension(op):
 
 def cmd_symbol(cfg, op):
     """Interface-symbol sweep: projector entries, idempotence, DN value."""
-    sym = _frozen_interface_symbol(op, 0.0).sym if op.fibre.kind == "interval" \
+    sym = _frozen_interface_symbol(op, 0.0) if op.fibre.kind == "interval" \
         else None
     rows = []
     for xi in cfg.xi:
@@ -277,7 +273,7 @@ def cmd_symbol(cfg, op):
             for j in range(m.shape[1]):
                 row[f"c_{i}{j}"] = m[i, j]
         if op.order == 2 and op.system_size == 1:
-            row["dn"] = dn_symbol(sym, (float(xi),), 1)
+            row["dn"] = dn_from_projector(proj, 1)
         rows.append(row)
     out = Path(cfg.out_dir)
     write_csv(out / "symbol.csv", rows)
@@ -286,7 +282,7 @@ def cmd_symbol(cfg, op):
 
 def cmd_normal(cfg, op):
     """Per-mu sweep of the normal-family projector; emits a failure list of
-    NotComplementary frequencies."""
+    the frequencies that raise NotComplementary or SolveFailure."""
     ext = default_extension(op)
     if ext is None:
         raise SchemaError("geometry", "normal sweep needs an interval fibre")
@@ -296,8 +292,9 @@ def cmd_normal(cfg, op):
         tau = float(tau)
         try:
             proj = normal_calderon(op, (tau,), ext)
-        except NotComplementary as exc:
-            failures.append({"tau": tau, "gap": exc.gap, "reason": "NotComplementary"})
+        except (NotComplementary, SolveFailure) as exc:
+            failures.append({"tau": tau, "gap": getattr(exc, "gap", ""),
+                             "reason": type(exc).__name__})
             continue
         bp = boundary_data_space(normal_operator(op, (tau,)))
         bm = minus_boundary_data_space(ext, op, (tau,))
@@ -362,6 +359,8 @@ def cmd_discrete(cfg, op):
         write_csv(out / "discrete_toy.csv", rows)
     else:
         ext = default_extension(op)
+        if ext is None:
+            raise SchemaError("geometry", "strip discrete run needs an interval fibre")
         for ns in (cfg.ns // 4, cfg.ns // 2, cfg.ns):
             nz = max(16, (cfg.nz * ns) // cfg.ns)
             grid = PhiGrid("StripHyperbolic", S=cfg.S, ns=ns,

@@ -748,7 +748,8 @@ def symbol_probe(path_or_proj, op=None, xi=None, point=None, width=2.0,
         n_int = path.layout["n_int"]
         s = path.layout["s_interior"]
         xi_snap = _snap_frequency(xi, path.operator.grid.S)
-        csym = _frozen_interface_symbol(op, 1.0 / point).matrix_at(xi_snap)
+        csym = calderon_symbol(_frozen_interface_symbol(op, 1.0 / point),
+                               (float(xi_snap),)).matrix
         env = Bump(1.0, (point - width, point + width))(s)
         wave = np.sin(xi_snap * (s - 1.0)).astype(complex)
         mask = env >= eval_fraction * env.max()
@@ -780,14 +781,6 @@ def symbol_probe(path_or_proj, op=None, xi=None, point=None, width=2.0,
                        (num,), {"collar": True})
 
 
-class _FrozenSymbol:
-    def __init__(self, sym):
-        self.sym = sym
-
-    def matrix_at(self, xi):
-        return calderon_symbol(self.sym, (float(xi),)).matrix
-
-
 def _frozen_interface_symbol(op, x0):
     """Interface symbol of a strip operator at the z = 0 collar: D_z becomes
     the transversal D_t, the s-oscillation contributes (-xi)^k."""
@@ -797,8 +790,7 @@ def _frozen_interface_symbol(op, x0):
         val = pm.eval(x0, 0.0) * ((-1.0) ** k)
         key = (beta, (), (k,))
         coeffs[key] = coeffs.get(key, 0) + val
-    sym = PolyMatrixSymbol(op.order, n, 0, 1, coeffs)
-    return _FrozenSymbol(sym)
+    return PolyMatrixSymbol(op.order, n, 0, 1, coeffs)
 
 
 def _frozen_collar_symbol(op):

@@ -34,6 +34,17 @@ class ContourTooClose(CuspcalError):
         )
 
 
+class SpectrumNearAxis(CuspcalError):
+    """A companion eigenvalue is on or near the real axis at xi': the symbol
+    is not elliptic there. margin = min |Im lambda| / max(1, max |lambda|)."""
+
+    def __init__(self, xi_prime, margin, tol):
+        self.xi_prime = tuple(float(x) for x in xi_prime)
+        self.margin = float(margin)
+        super().__init__(f"companion spectrum at relative distance {margin:.3e} "
+                         f"from the real axis at xi'={self.xi_prime} (tol {tol:.0e})")
+
+
 class NotComplementary(CuspcalError):
     """Two subspaces expected to be complementary are not."""
 

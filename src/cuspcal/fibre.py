@@ -93,10 +93,6 @@ class ModelOperator:
         if np.min(sv[..., -1]) <= rank_tol * max(1.0, np.max(sv[..., 0])):
             raise ValueError("a_{m,0,0}(0, z) is singular on the fibre")
 
-    @property
-    def fibre_length(self):
-        return self.fibre.length
-
 
 class FibreODE:
     """N(P)(mu) as an ODE of order m in z on [z_lo, z_hi]:

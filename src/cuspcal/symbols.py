@@ -12,17 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.linalg.lapack import ztrsyl
 from scipy.optimize import minimize
 
-from .errors import GraphConditionFailed, NotInvertible, ZeroCovector
+from .errors import (GraphConditionFailed, NotInvertible, SolveFailure,
+                     SpectrumNearAxis, ZeroCovector)
 from .linalg import (
-    ContourSpec,
     Projector,
+    SubspaceBasis,
     as_matrix,
     check_gram,
+    fro,
     gram_adjoint,
     idempotence_defect,
-    riesz_projector,
 )
 
 
@@ -36,9 +39,6 @@ class Covector:
 
     def tangential(self):
         return np.array(list(self.eta) + list(self.zeta_prime), dtype=float)
-
-    def full(self):
-        return np.concatenate([[self.tau], self.tangential()])
 
 
 def _tangential(xi_prime):
@@ -214,27 +214,6 @@ def companion_matrix(sym, xi_prime):
     return a
 
 
-def _axis_gap_estimate(sym, t, radius, samples=65):
-    """Conservative lower bound for the distance from the real axis to the
-    companion spectrum: min sigma_min(sigma(tau, xi')) over a real-tau sample
-    divided by a tau-derivative bound."""
-    taus = np.linspace(-radius, radius, samples)
-    coeffs = sym.tau_coefficients(t)
-    gap = np.inf
-    for tau in taus:
-        acc = np.zeros_like(coeffs[0])
-        for k, c in enumerate(coeffs):
-            acc = acc + (tau**k) * c
-        gap = min(gap, float(np.linalg.svd(acc, compute_uv=False)[-1]))
-    lip = sum(
-        k * np.linalg.norm(c, 2) * radius ** (k - 1)
-        for k, c in enumerate(coeffs)
-        if k >= 1
-    )
-    lip = max(lip, np.finfo(float).tiny)
-    return max(gap / (2.0 * lip), 1e-8)
-
-
 def _companion_radius(sym, t):
     """Upper bound for the companion spectral radius: the smaller of a
     Fujiwara-type coefficient bound 2 max_k |a_m^-1 a_k|^(1/(m-k)) and the
@@ -254,43 +233,79 @@ def _companion_radius(sym, t):
     return 1.0 + max(1.0, bound)
 
 
-def calderon_symbol(sym, xi_prime, idem_tol=1e-12, node_cap=4096):
+# min |Im lambda| / max(1, max |lambda|) at or below which a companion
+# eigenvalue counts as real: about sqrt(eps), the split of a double root.
+AXIS_TOL = 1e-8
+
+
+def calderon_symbol(sym, xi_prime, idem_tol=1e-12):
     """Projector onto boundary data of decaying solutions (t -> +infinity)
-    of the symbol ODE: the Riesz projector of the companion matrix for the
-    open upper half-plane."""
-    return _half_plane_projector(sym, xi_prime, "upper", idem_tol, node_cap)
+    of the symbol ODE: the spectral projector of the companion matrix for
+    the open upper half-plane."""
+    return _half_plane_projector(sym, xi_prime, 1.0, idem_tol)
 
 
-def complementary_symbol(sym, xi_prime, idem_tol=1e-12, node_cap=4096):
-    """Lower-half-plane Riesz projector; calderon + complementary = I."""
-    return _half_plane_projector(sym, xi_prime, "lower", idem_tol, node_cap)
+def complementary_symbol(sym, xi_prime, idem_tol=1e-12):
+    """Lower-half-plane spectral projector from its own Schur ordering, so
+    that calderon + complementary = I is a check, not an identity."""
+    return _half_plane_projector(sym, xi_prime, -1.0, idem_tol)
 
 
-def _half_plane_projector(sym, xi_prime, half, idem_tol, node_cap):
+def _half_plane_projector(sym, xi_prime, sign, idem_tol):
+    """Spectral projector of the companion matrix for {sign * Im > 0}.
+
+    The ordered Schur form A = Z [[T11, T12], [0, T22]] Z^H has the k wanted
+    eigenvalues in T11; with T11 W - W T22 = T12, C = Z [[I, W], [0, 0]] Z^H
+    has range Z[:, :k] and kernel Z [-W; I] (Golub & Van Loan 7.6). Certified
+    by the axis margin, block separation, trace C = k and idempotence.
+    """
     t = _tangential(xi_prime)
     a = companion_matrix(sym, t)
-    radius = _companion_radius(sym, t)
-    delta = _axis_gap_estimate(sym, t, radius)
-    delta = min(delta, 0.45 * radius)
-    if half == "upper":
-        contour = ContourSpec.rectangle(-radius, radius, delta, radius)
-    else:
-        contour = ContourSpec.rectangle(-radius, radius, -radius, -delta)
-    return riesz_projector(a, contour, idem_tol=idem_tol, node_cap=node_cap)
+    n = a.shape[0]
+    try:
+        tm, z, k = sla.schur(a, output="complex", sort=lambda lam: sign * lam.imag > 0)
+        lam = np.diag(tm)
+    except sla.LinAlgError:
+        # reordering fails only if rounding moves an eigenvalue across the axis
+        tm, lam = None, np.linalg.eigvals(a)
+    margin = float(np.min(np.abs(lam.imag))) / max(1.0, float(np.max(np.abs(lam))))
+    if tm is None or margin <= AXIS_TOL:
+        raise SpectrumNearAxis(t, margin, AXIS_TOL)
+    w = np.zeros((k, n - k), dtype=complex)
+    if 0 < k < n:
+        w, scale, info = ztrsyl(tm[:k, :k], tm[k:, k:], tm[:k, k:], isgn=-1)
+        if info != 0:
+            raise SolveFailure(f"Schur blocks not separated at xi'={tuple(t)}")
+        w = w / scale
+    zr = z[:, :k]
+    c = zr @ (zr.conj().T + w @ z[:, k:].conj().T)
+    wanted = np.count_nonzero(sign * lam.imag > 0)
+    if abs(np.trace(c) - wanted) > 1e-8 * max(1.0, fro(c)):
+        raise SolveFailure(f"trace C != {wanted} wanted eigenvalues at xi'={tuple(t)}")
+    defect = idempotence_defect(c)
+    if defect > idem_tol:
+        raise SolveFailure(f"idempotence defect {defect:.3e} at xi'={tuple(t)}")
+    return Projector(c, defect, SubspaceBasis(n, zr), SubspaceBasis(n, z[:, k:] - zr @ w))
 
 
 def dn_symbol(sym, xi_prime, normal_orientation=1, graph_tol=1e-8, idem_tol=1e-12):
-    """Dirichlet-to-Neumann principal symbol of a second-order scalar symbol.
-
-    Extracts lambda with range(calderon) = span{(1, lambda)} and converts
-    D_t-data to the normal derivative; normal_orientation=+1 is the outward
-    normal (-d/dt on the decaying side), -1 the inward one.
-    """
+    """Dirichlet-to-Neumann principal symbol of a second-order scalar symbol;
+    see dn_from_projector."""
     if sym.order != 2 or sym.system_size != 1:
         raise ValueError("dn_symbol requires a scalar second-order symbol")
+    c = calderon_symbol(sym, xi_prime, idem_tol=idem_tol)
+    return dn_from_projector(c, normal_orientation, graph_tol)
+
+
+def dn_from_projector(c, normal_orientation=1, graph_tol=1e-8):
+    """DN value of the Calderon projector c of a scalar second-order symbol.
+
+    Extracts lambda with range(c) = span{(1, lambda)} and converts D_t-data
+    to the normal derivative; normal_orientation=+1 is the outward normal
+    (-d/dt on the decaying side), -1 the inward one.
+    """
     if normal_orientation not in (1, -1):
         raise ValueError("normal_orientation must be +1 or -1")
-    c = calderon_symbol(sym, xi_prime, idem_tol=idem_tol)
     rng = c.range_basis
     if rng is None or rng.dim != 1:
         raise GraphConditionFailed(

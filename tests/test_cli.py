@@ -101,6 +101,33 @@ class TestMain:
         assert (out / "normal.csv").exists()
         assert (out / "normal_failures.csv").exists()
 
+    def test_normal_sweep_records_solve_failure(self, tmp_path):
+        # a SolveFailure at one tau is listed and the sweep goes on
+        out = tmp_path / "out"
+        status = main(["normal", "--config",
+                       str(CONFIG_DIR / "strip_laplacian.json"),
+                       "--out", str(out), "--tau-min", "12",
+                       "--tau-max", "14", "--tau-steps", "3"])
+        assert status == 0
+        assert (out / "normal.csv").exists()
+        failures = (out / "normal_failures.csv").read_text().splitlines()
+        assert failures[0].startswith("tau,gap,reason,")
+        assert all(",SolveFailure," in line for line in failures[1:])
+
+    def test_symbol_dn_matches_dn_symbol(self, tmp_path):
+        from cuspcal.discrete import _frozen_interface_symbol
+        from cuspcal.symbols import dn_symbol
+
+        out = tmp_path / "out"
+        assert main(["symbol", "--config", str(CONFIG_DIR / "strip_laplacian.json"),
+                     "--out", str(out), "--xi", "0.5,1"]) == 0
+        lines = (out / "symbol.csv").read_text().splitlines()
+        col = lines[0].split(",").index("dn")
+        _, op = load_config(CONFIG_DIR / "strip_laplacian.json")
+        sym = _frozen_interface_symbol(op, 0.0)
+        for xi, line in zip((0.5, 1.0), lines[1:]):
+            assert complex(line.split(",")[col]) == dn_symbol(sym, (xi,), 1)
+
     def test_discrete_toy_subcommand(self, tmp_path):
         out = tmp_path / "out"
         status = main(["discrete", "--config",
@@ -114,6 +141,12 @@ class TestMain:
 
     def test_missing_config_is_input_error(self, tmp_path):
         status = main(["normal", "--out", str(tmp_path / "o")])
+        assert status == 2
+
+    def test_strip_discrete_needs_interval_fibre(self, tmp_path):
+        status = main(["discrete", "--config",
+                       str(CONFIG_DIR / "exterior_toy.json"),
+                       "--out", str(tmp_path / "o")])
         assert status == 2
 
     def test_corrupted_config_is_input_error(self, tmp_path):

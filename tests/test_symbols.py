@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from cuspcal.errors import GraphConditionFailed, ZeroCovector
-from cuspcal.linalg import SubspaceBasis, fro, orth_projector, subspace_distance
+from cuspcal.errors import GraphConditionFailed, SpectrumNearAxis, ZeroCovector
+from cuspcal.linalg import (
+    ContourSpec,
+    SubspaceBasis,
+    fro,
+    orth_projector,
+    riesz_projector,
+    subspace_distance,
+)
 from cuspcal.oracles import durand_kerner, half_plane_projector_from_roots
 from cuspcal.symbols import (
     PolyMatrixSymbol,
@@ -20,6 +27,20 @@ def laplace_symbol(s_weight=1.0):
     """tau^2 + s_weight^2 zeta^2, scalar, one tangential covariable."""
     return PolyMatrixSymbol(2, 1, 0, 1, {(2, (), (0,)): 1.0,
                                          (0, (), (2,)): s_weight**2})
+
+
+def root_pair_symbol(z1, z2):
+    """(tau - z1 zeta)(tau - z2 zeta), scalar, one tangential covariable."""
+    return PolyMatrixSymbol(2, 1, 0, 1, {(2, (), (0,)): 1.0,
+                                         (1, (), (1,)): -(z1 + z2),
+                                         (0, (), (2,)): z1 * z2})
+
+
+def eig_projector(a, upper=True):
+    """Spectral projector for the upper (lower) half-plane from numpy.linalg.eig."""
+    lam, v = np.linalg.eig(a)
+    keep = (lam.imag > 0) if upper else (lam.imag < 0)
+    return v[:, keep] @ np.linalg.inv(v)[keep]
 
 
 class TestPolyMatrixSymbol:
@@ -165,6 +186,45 @@ class TestCalderonSymbol:
             dim = sym.order * sym.system_size
             assert np.max(np.abs(cp.matrix + cm.matrix - np.eye(dim))) <= 1e-9
             assert cp.idem_defect <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_near_axis_root(self, eps):
+        # an upper root eps above the real axis: the rectangle contour of
+        # the quadrature route gave up at 4096 nodes on all three
+        sym = root_pair_symbol(0.537 + 1j * eps, -(0.3 + 1j))
+        cp = calderon_symbol(sym, (1.0,))
+        cm = complementary_symbol(sym, (1.0,))
+        assert cp.idem_defect <= 1e-12
+        assert abs(np.trace(cp.matrix) - 1.0) <= 1e-12
+        a = companion_matrix(sym, (1.0,))
+        assert np.max(np.abs(cp.matrix - eig_projector(a))) <= 1e-12
+        assert np.max(np.abs(cm.matrix - eig_projector(a, upper=False))) <= 1e-12
+
+    def test_real_root_raises(self):
+        sym = root_pair_symbol(1.0, -1j)
+        for project in (calderon_symbol, complementary_symbol):
+            with pytest.raises(SpectrumNearAxis) as err:
+                project(sym, (1.0,))
+            assert err.value.xi_prime == (1.0,)
+            assert err.value.margin <= 1e-8
+
+    def test_riesz_contour_cross_check(self):
+        # the paper's route: contour quadrature around the upper spectrum,
+        # the rectangle placed from numpy's eigenvalues
+        for seed in range(10):
+            sym = random_elliptic_symbol(seed + 700)
+            rng = np.random.default_rng(seed)
+            xi = rng.standard_normal(sym.base_dim + sym.fibre_codim)
+            xi *= rng.uniform(0.5, 2.0) / np.linalg.norm(xi)
+            a = companion_matrix(sym, xi)
+            lam = np.linalg.eigvals(a)
+            r = 1.0 + np.max(np.abs(lam))
+            gap = 0.5 * np.min(np.abs(lam.imag))
+            ref = riesz_projector(a, ContourSpec.rectangle(-r, r, gap, r),
+                                  idem_tol=1e-11)
+            c = calderon_symbol(sym, xi)
+            assert fro(c.matrix - ref.matrix) <= 1e-9 * max(1.0, fro(ref.matrix))
+            assert c.rank == round(np.trace(ref.matrix).real)
 
 
 class TestDnSymbol:
