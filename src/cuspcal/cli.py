@@ -11,7 +11,7 @@ import functools
 import json
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,8 @@ from .discrete import (
     _frozen_interface_symbol,
 )
 from .errors import CuspcalError, NotComplementary, SchemaError, SolveFailure
-from .fibre import (
-    Fibre,
-    FibreExtension,
-    ModelOperator,
-    boundary_data_space,
-    minus_boundary_data_space,
-    normal_calderon,
-    normal_operator,
-)
-from .linalg import direct_sum_check, fro
+from .fibre import MU_CAP, Fibre, FibreExtension, ModelOperator, normal_calderon
+from .linalg import fro
 from .suites import CRITERIA, VerifyConfig, run_criteria
 from .symbols import calderon_symbol, dn_from_projector
 
@@ -136,6 +128,17 @@ class RunConfig:
         for name, value in self.tol_overrides.items():
             if float(value) <= 0:
                 raise SchemaError(f"run.tol.{name}", "tolerances must be > 0")
+        for name in ("tau_min", "tau_max"):
+            tau = getattr(self, name)
+            if not isinstance(tau, (int, float)) or not abs(tau) <= MU_CAP:
+                raise SchemaError(f"run.{name}", f"need a number with |tau| <= MU_CAP = {MU_CAP:g}")
+
+
+def _exact_int(value):
+    """An int or an integral float (never a bool) as an int, else None."""
+    exact = (isinstance(value, float) and value.is_integer()) or (
+        isinstance(value, int) and not isinstance(value, bool))
+    return int(value) if exact else None
 
 
 _GEOMETRIES = ("HalfLineToy", "StripHyperbolic", "CuspDomain", "ExteriorToy")
@@ -193,11 +196,9 @@ def parse_config(text):
             if not isinstance(item, dict):
                 errors.append(SchemaError(path, "expected an object"))
                 continue
-            try:
-                k = int(item["k"])
-                alpha = int(item.get("alpha", 0))
-                beta = int(item.get("beta", 0))
-            except (KeyError, TypeError, ValueError):
+            k, alpha, beta = (_exact_int(item.get(name, 0))
+                              for name in ("k", "alpha", "beta"))
+            if "k" not in item or None in (k, alpha, beta):
                 errors.append(SchemaError(path, "need integer k/alpha/beta"))
                 continue
             poly = item.get("poly")
@@ -214,7 +215,11 @@ def parse_config(text):
                     bad = True
                     continue
                 dx, dz, re, im = term
-                key = (int(dx), int(dz))
+                key = (_exact_int(dx), _exact_int(dz))
+                if None in key:
+                    errors.append(SchemaError(f"{path}.poly[{j}]", "degrees must be integers"))
+                    bad = True
+                    continue
                 table[key] = table.get(key, 0) + complex(re, im) * np.eye(size)
             if bad:
                 continue
@@ -296,10 +301,7 @@ def cmd_normal(cfg, op):
             failures.append({"tau": tau, "gap": getattr(exc, "gap", ""),
                              "reason": type(exc).__name__})
             continue
-        bp = boundary_data_space(normal_operator(op, (tau,)))
-        bm = minus_boundary_data_space(ext, op, (tau,))
-        gap = direct_sum_check(bp, bm).gap
-        row = {"tau": tau, "idem_defect": proj.idem_defect, "gap": gap,
+        row = {"tau": tau, "idem_defect": proj.idem_defect, "gap": proj.certs["gap"],
                "construction": "pm-spaces"}
         m = proj.matrix
         for i in range(m.shape[0]):
@@ -477,7 +479,7 @@ def main(argv=None):
         if args.xi is not None:
             cfg.xi = tuple(float(x) for x in str(args.xi).split(",") if x)
         cfg.tol_overrides.update(overrides)
-        RunConfig(tol_overrides=cfg.tol_overrides)  # re-validate tolerances
+        replace(cfg)  # re-validate after the command-line overrides
         if cfg.subcommand == "verify":
             status, _ = verify_all(cfg)
             return status

@@ -10,9 +10,10 @@ endpoints; boundary-data vectors in C^{2mN} are ordered
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
 from ._poly import PolyMat1, PolyMat2
@@ -136,14 +137,14 @@ class FibreODE:
         return vals
 
     def companion(self, z):
-        """D_z-convention companion: D_z V = A(z) V, V = (v, ..., D_z^{m-1} v)."""
+        """D_z-convention companion: D_z V = A(z) V, V = (v, ..., D_z^{m-1} v).
+        Evaluates at scalar or array z; returns (..., mN, mN)."""
         m, n = self.order, self.system_size
         vals = self.coeff_values(z)
-        a = np.zeros((m * n, m * n), dtype=complex)
+        a = np.zeros(np.shape(z) + (m * n, m * n), dtype=complex)
         for i in range(m - 1):
-            a[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
-        for j in range(m):
-            a[(m - 1) * n :, j * n : (j + 1) * n] = -np.linalg.solve(vals[m], vals[j])
+            a[..., i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
+        a[..., (m - 1) * n :, :] = -np.linalg.solve(vals[m], np.concatenate(vals[:m], axis=-1))
         return a
 
     def apply(self, z, jets):
@@ -219,41 +220,73 @@ class FundamentalSolution:
     residual: float
 
 
-def fundamental_matrix(ode, checkpoints=16, rtol=1e-11, atol=1e-13,
-                       method="DOP853", residual_tol=1e-7):
-    """Integrate the companion system over the fibre with checkpointed
-    re-orthonormalization; the a-posteriori residual is the relative
-    deviation from a tighter-tolerance re-integration."""
-    n = ode.dim
-    z_lo, z_hi = ode.interval
+CHEB_P = 16  # p + 1 Chebyshev points per panel
+TAIL_TOL = 1e-10  # bound on a panel's last 3 Chebyshev coefficients / largest
 
-    def run(rt, at, with_checkpoints):
-        y = np.eye(n, dtype=complex)
-        acc = np.eye(n, dtype=complex)  # accumulated change of basis R_K...R_1
-        zs = np.linspace(z_lo, z_hi, (checkpoints if with_checkpoints else 1) + 1)
-        for za, zb in zip(zs[:-1], zs[1:]):
-            sol = solve_ivp(
-                lambda z, v: (1j * ode.companion(z) @ v.reshape(n, n)).ravel(),
-                (za, zb), y.ravel(), method=method, rtol=rt, atol=at)
-            if not sol.success:
-                raise IntegrationFailure(
-                    f"integrator failed on [{za:.3g},{zb:.3g}]: {sol.message}",
-                    z=float(sol.t[-1]) if sol.t.size else za)
-            y = sol.y[:, -1].reshape(n, n)
-            if with_checkpoints:
-                y, r = np.linalg.qr(y)
-                acc = r @ acc
-        return y @ acc
 
-    phi = run(rtol, atol, True)
-    phi_check = run(min(rtol, 1e-12), min(atol, 1e-14), False)
-    scale = max(1.0, float(np.linalg.norm(phi)))
-    residual = float(np.linalg.norm(phi - phi_check)) / scale
-    if residual > residual_tol:
-        raise IntegrationFailure(
-            f"re-integration residual {residual:.3e} exceeds {residual_tol:.3e}",
-            z=z_hi)
-    return FundamentalSolution(ode, np.eye(n, dtype=complex), phi, residual)
+def _cheb(p):
+    """Ascending Chebyshev points on [-1, 1] and their differentiation
+    matrix (Trefethen, Spectral Methods in MATLAB, ch. 6)."""
+    j = np.arange(p + 1)
+    x = -np.cos(np.pi * j / p)
+    c = np.where(j % p == 0, 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(p + 1))
+    return x, d - np.diag(d.sum(axis=1))
+
+
+def _panel_breaks(ode):
+    """Four equal panels; with a bump potential, breaks at the ends of its
+    support and panels inside it graded geometrically (ratio 1/2, 5 levels)
+    towards both ends, where the bump is smooth but not analytic."""
+    lo, hi = ode.interval
+    support = getattr(ode.extra_potential, "support", None)
+    if support is None:
+        return np.linspace(lo, hi, 5)
+    a, b = support
+    half = 0.5 * (b - a)
+    grade = half * 0.5 ** np.arange(5, 0, -1)
+    return np.concatenate([[lo, a], a + grade, [a + half], (b - grade)[::-1], [b, hi]])
+
+
+def _collocated_jets(ode, side, p=CHEB_P, breaks=None):
+    """End jets (at z_lo, at z_hi) of one solution basis of the fibre ODE and
+    its Chebyshev tail. D_z V = A(z) V is collocated on each panel without
+    the rows of its first node, whose last d right singular vectors span the
+    panel's solutions; the interface matching matrix joins the panels."""
+    d = ode.dim
+    breaks = _panel_breaks(ode) if breaks is None else np.asarray(breaks, dtype=float)
+    x, dmat = _cheb(p)
+    a, b = breaks[:-1, None], breaks[1:, None]
+    z = 0.5 * (a + b) + 0.5 * (b - a) * x
+    k = z.shape[0]
+    mat = np.einsum("k,ij,ab->kiajb", -2j / (b - a)[:, 0], dmat, np.eye(d))
+    j = np.arange(p + 1)
+    mat[:, j, :, j] -= ode.companion(z).swapaxes(0, 1)
+    mat = mat.reshape(k, (p + 1) * d, (p + 1) * d)[:, d:]
+    null = np.linalg.svd(mat)[2][:, -d:].conj().swapaxes(1, 2).reshape(k, p + 1, d, d)
+    coef = np.abs(dct(null, type=1, axis=1))
+    coef[:, [0, -1]] *= 0.5
+    tails = coef[:, -3:].max(axis=(1, 2, 3)) / coef.max(axis=(1, 2, 3))
+    worst = int(np.argmax(tails))
+    if tails[worst] > TAIL_TOL:
+        raise SolveFailure(
+            f"{side} side at mu={ode.mu}: Chebyshev tail {tails[worst]:.3e} exceeds "
+            f"{TAIL_TOL:.0e} on panel {worst} [{breaks[worst]:.4g}, {breaks[worst + 1]:.4g}]")
+    lo, hi = null[:, 0], null[:, -1]
+    match = np.zeros((k - 1, d, k, d), dtype=complex)
+    j = np.arange(k - 1)
+    match[j, :, j] = hi[:-1]
+    match[j, :, j + 1] = -lo[1:]
+    c = np.linalg.svd(match.reshape((k - 1) * d, k * d))[2][-d:].conj().T.reshape(k, d, d)
+    return lo[0] @ c[0], hi[-1] @ c[-1], float(tails[worst])
+
+
+def fundamental_matrix(ode):
+    """Endpoint jet maps read from the collocated solution basis with end
+    jets Lo, H: jet_hi = H Lo^-1; the residual is the Chebyshev tail."""
+    lo, hi, tail = _collocated_jets(ode, "plus")
+    return FundamentalSolution(ode, np.eye(ode.dim, dtype=complex),
+                               np.linalg.solve(lo.T, hi.T).T, tail)
 
 
 def propagate_jet(ode, jet_lo, rtol=1e-11, atol=1e-13, method="DOP853"):
@@ -268,18 +301,24 @@ def propagate_jet(ode, jet_lo, rtol=1e-11, atol=1e-13, method="DOP853"):
     return sol.y[:, -1]
 
 
+def _data_space(ode, side, rank_tol):
+    """Boundary-data basis of one side of the doubled fibre, ordered
+    (jet at z=0, jet at z=L), and its Chebyshev tail certificate."""
+    lo, hi, tail = _collocated_jets(ode, side)
+    stacked = np.vstack([lo, hi] if side == "plus" else [hi, lo])
+    basis = SubspaceBasis.from_span(stacked, rank_tol=rank_tol)
+    if basis.dim != ode.dim:
+        raise RankDeficient(
+            f"{side}-side jet map lost rank: {basis.dim} < {ode.dim}")
+    return basis, tail
+
+
 def boundary_data_space(ode, nu_convention="collar", rank_tol=1e-8):
     """Basis of B+(mu) = {gamma u : N(P)(mu) u = 0} in C^{2mN}, data ordered
     (jet at z_lo, jet at z_hi) with the single global D_z convention."""
     if nu_convention not in ("collar", "global"):
         raise ValueError("nu convention is the single global collar field")
-    f = fundamental_matrix(ode)
-    stacked = np.vstack([f.jet_lo, f.jet_hi])
-    basis = SubspaceBasis.from_span(stacked, rank_tol=rank_tol)
-    if basis.dim != ode.dim:
-        raise RankDeficient(
-            f"endpoint jet map lost rank: {basis.dim} < {ode.dim}")
-    return basis
+    return _data_space(ode, "plus", rank_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -353,13 +392,7 @@ def minus_boundary_data_space(ext, op, mu, rank_tol=1e-8):
 
     Data ordering matches boundary_data_space: (jet at z=0+~2L, jet at z=L).
     """
-    ode_m = ext.minus_ode(op, mu)
-    f = fundamental_matrix(ode_m)
-    stacked = np.vstack([f.jet_hi, f.jet_lo])
-    basis = SubspaceBasis.from_span(stacked, rank_tol=rank_tol)
-    if basis.dim != ode_m.dim:
-        raise RankDeficient("minus-side jet map lost rank")
-    return basis
+    return _data_space(ext.minus_ode(op, mu), "minus", rank_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -403,22 +436,18 @@ def range_solution_residual(ode, projector, rtol=1e-11):
     return worst
 
 
-def normal_calderon(op, mu, ext, gap_tol=1e-8, rank_tol=1e-8, residual_tol=1e-4):
+def normal_calderon(op, mu, ext, gap_tol=1e-8, rank_tol=1e-8):
     """Normal-family Calderon projector at mu: projector_from_pair of the
-    plus and minus boundary-data spaces of the doubled extension."""
-    ode = normal_operator(op, mu)
-    bp = boundary_data_space(ode, rank_tol=rank_tol)
-    bm = minus_boundary_data_space(ext, op, mu, rank_tol=rank_tol)
+    plus and minus boundary-data spaces of the doubled extension, carrying
+    the direct-sum gap and the worse Chebyshev tail as certificates."""
+    bp, tail_p = _data_space(normal_operator(op, mu), "plus", rank_tol)
+    bm, tail_m = _data_space(ext.minus_ode(op, mu), "minus", rank_tol)
     report = direct_sum_check(bp, bm, tol=gap_tol)
     if not report.is_direct_sum:
         raise NotComplementary("B+ and B- are not complementary",
                                gap=report.gap, mu=mu)
-    proj = projector_from_pair(bp, bm)
-    resid = range_solution_residual(ode, proj)
-    if resid > residual_tol:
-        raise SolveFailure(
-            f"range residual {resid:.3e} exceeds {residual_tol:.3e} at mu={mu}")
-    return proj
+    return replace(projector_from_pair(bp, bm),
+                   certs={"gap": report.gap, "tail": max(tail_p, tail_m)})
 
 
 @dataclass(frozen=True)

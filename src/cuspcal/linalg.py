@@ -7,7 +7,7 @@ Frobenius norm of the operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -162,12 +162,14 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class Projector:
-    """Square complex matrix with a certified idempotence defect."""
+    """Square complex matrix with a certified idempotence defect; `certs`
+    holds the further certificates of its construction (name -> value)."""
 
     matrix: np.ndarray
     idem_defect: float
     range_basis: SubspaceBasis | None = None
     kernel_basis: SubspaceBasis | None = None
+    certs: dict = field(default_factory=dict)
 
     @property
     def dim(self):

@@ -14,6 +14,7 @@ from cuspcal.cli import (
     write_projector,
 )
 from cuspcal.errors import SchemaError
+from cuspcal.fibre import FibreExtension
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -61,6 +62,32 @@ class TestParseConfig:
         ode = normal_operator(op, (1.0,))
         assert ode.coeff_values(0.5)[2][0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("idx,field,value",
+                             [(0, "k", 2.7), (1, "beta", True), (1, "beta", "2")])
+    def test_non_integer_index_is_input_error(self, tmp_path, idx, field, value):
+        # each of these used to be read as a nearby integer, exiting 0
+        doc = json.loads(strip_config_text())
+        doc["coefficients"][idx][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["normal", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("term", [[0.5, 0, 1.0, 0.0], [0, 1.5, 1.0, 0.0]])
+    def test_non_integer_degree_is_input_error(self, tmp_path, term):
+        doc = json.loads(strip_config_text())
+        doc["coefficients"][0]["poly"] = [term]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["normal", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_integral_float_index_accepted(self):
+        doc = json.loads(strip_config_text())
+        doc["coefficients"][0]["k"] = float(doc["coefficients"][0]["k"])
+        doc["coefficients"][0]["poly"][0][:2] = [0.0, 0.0]
+        _, op = parse_config(json.dumps(doc))
+        _, ref = parse_config(strip_config_text())
+        assert op.coefficients.keys() == ref.coefficients.keys()
+
     def test_tolerances_positive(self):
         with pytest.raises(SchemaError):
             RunConfig(tol_overrides={"probe": -1.0})
@@ -101,18 +128,42 @@ class TestMain:
         assert (out / "normal.csv").exists()
         assert (out / "normal_failures.csv").exists()
 
-    def test_normal_sweep_records_solve_failure(self, tmp_path):
-        # a SolveFailure at one tau is listed and the sweep goes on
+    def test_normal_sweep_certified_above_tau_12(self, tmp_path):
+        # every tau up to MU_CAP gives a certified projector, none fails
         out = tmp_path / "out"
         status = main(["normal", "--config",
                        str(CONFIG_DIR / "strip_laplacian.json"),
                        "--out", str(out), "--tau-min", "12",
                        "--tau-max", "14", "--tau-steps", "3"])
         assert status == 0
-        assert (out / "normal.csv").exists()
+        assert len((out / "normal.csv").read_text().splitlines()) == 1 + 3
         failures = (out / "normal_failures.csv").read_text().splitlines()
-        assert failures[0].startswith("tau,gap,reason,")
-        assert all(",SolveFailure," in line for line in failures[1:])
+        assert failures == ["tau,gap,reason,build"]
+
+    def test_normal_gap_is_direct_sum_gap(self, tmp_path):
+        from cuspcal.fibre import (boundary_data_space, minus_boundary_data_space,
+                                   normal_operator)
+        from cuspcal.linalg import direct_sum_check
+
+        out = tmp_path / "out"
+        assert main(["normal", "--config", str(CONFIG_DIR / "strip_laplacian.json"),
+                     "--out", str(out), "--tau-min", "0.5", "--tau-max", "1.5",
+                     "--tau-steps", "3"]) == 0
+        lines = (out / "normal.csv").read_text().splitlines()
+        col = lines[0].split(",").index("gap")
+        _, op = load_config(CONFIG_DIR / "strip_laplacian.json")
+        ext = FibreExtension.with_default_bump(op.fibre.length)
+        for tau, line in zip((0.5, 1.0, 1.5), lines[1:]):
+            bp = boundary_data_space(normal_operator(op, (tau,)))
+            bm = minus_boundary_data_space(ext, op, (tau,))
+            assert float(line.split(",")[col]) == direct_sum_check(bp, bm).gap
+
+    def test_tau_beyond_mu_cap_is_input_error(self, tmp_path, capsys):
+        status = main(["normal", "--config", str(CONFIG_DIR / "strip_laplacian.json"),
+                       "--out", str(tmp_path / "o"), "--tau-max", "17"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "tau_max" in err and "Traceback" not in err
 
     def test_symbol_dn_matches_dn_symbol(self, tmp_path):
         from cuspcal.discrete import _frozen_interface_symbol

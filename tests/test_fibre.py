@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cuspcal.errors import NotComplementary, PointFibre
+from cuspcal.errors import NotComplementary, PointFibre, SolveFailure
 from cuspcal.fibre import (
+    MU_CAP,
     Bump,
     Fibre,
     FibreExtension,
@@ -17,6 +18,7 @@ from cuspcal.fibre import (
     propagate_jet,
     range_solution_residual,
     ucp_check,
+    _collocated_jets,
 )
 from cuspcal.linalg import (
     SubspaceBasis,
@@ -40,6 +42,16 @@ def closed_form_basis(tau, length=1.0):
         [1.0, 0.0, c, tau * s / 1j],
         [0.0, 1.0 / 1j, s / tau, c / 1j],
     ]).T)
+
+
+def exp_basis(tau, length=1.0):
+    """gamma-data of e^{tau (z - L)} and e^{-tau z} on [0, L]; unlike the
+    cosh/sinh form it stays well conditioned at large tau."""
+    e = np.exp(-tau * length)
+    return np.array([
+        [e, -1j * tau * e, 1.0, -1j * tau],
+        [1.0, 1j * tau, e, 1j * tau * e],
+    ]).T
 
 
 class TestNormalOperator:
@@ -252,6 +264,26 @@ class TestNormalCalderon:
         ode = normal_operator(op, (1.0,))
         assert range_solution_residual(ode, proj) <= 1e-7
 
+    @pytest.mark.parametrize("tau", [12.0, 13.0, 14.0, 15.0, 15.9, MU_CAP])
+    def test_certified_up_to_mu_cap(self, tau):
+        # the solutions grow like e^{tau z}; the collocated basis is
+        # orthonormal over the whole fibre, so the growth does no harm
+        proj = normal_calderon(strip_laplacian(), (tau,),
+                               FibreExtension.with_default_bump(1.0))
+        c = proj.matrix
+        q, _ = np.linalg.qr(exp_basis(tau))
+        assert fro(c @ q - q) <= 1e-8
+        assert proj.idem_defect <= 1e-8
+        assert abs(np.trace(c) - 2.0) <= 1e-8
+        assert proj.certs["tail"] <= 1e-10
+
+    def test_coarse_layout_trips_tail_certificate(self):
+        # one 9-point panel cannot resolve the bump on the minus side
+        ext = FibreExtension.with_default_bump(1.0)
+        ode = ext.minus_ode(strip_laplacian(), (0.3,))
+        with pytest.raises(SolveFailure, match="tail .* on panel 0"):
+            _collocated_jets(ode, "minus", p=8, breaks=ode.interval)
+
     def test_first_order_toy(self):
         # m=1 scalar: D_z - i on the fibre, minus side mirrored
         op = ModelOperator(1, 1, 0, Fibre("interval", 1.0),
@@ -323,6 +355,20 @@ def test_propagate_jet_matches_fundamental():
     f = fundamental_matrix(ode)
     jet = propagate_jet(ode, np.array([1.0, 0.5j]))
     np.testing.assert_allclose(jet, f.jet_hi @ np.array([1.0, 0.5j]), atol=1e-9)
+
+
+def test_collocation_matches_shooting():
+    # B+ from the collocated basis against one DOP853 shot per unit jet
+    from cuspcal.suites import _random_fibre_operator
+
+    for seed in range(10):
+        rng = np.random.default_rng(800 + seed)
+        op = _random_fibre_operator(rng)
+        ode = normal_operator(op, (float(rng.uniform(-2.0, 2.0)),))
+        eye = np.eye(ode.dim)
+        shots = np.column_stack([propagate_jet(ode, e) for e in eye])
+        ref = SubspaceBasis.from_span(np.vstack([eye, shots]))
+        assert subspace_distance(boundary_data_space(ode), ref) <= 1e-9
 
 
 def test_exterior_toy_config_scan():
