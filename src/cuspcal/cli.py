@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import subprocess
 import sys
 from dataclasses import dataclass, field, replace
@@ -132,6 +133,19 @@ class RunConfig:
             tau = getattr(self, name)
             if not isinstance(tau, (int, float)) or not abs(tau) <= MU_CAP:
                 raise SchemaError(f"run.{name}", f"need a number with |tau| <= MU_CAP = {MU_CAP:g}")
+        if _exact_int(self.ns) is None or self.ns < 64:
+            # the strip and toy discrete runs also use ns // 4 >= 16 nodes
+            raise SchemaError("run.ns", "need an integer >= 64")
+        if _exact_int(self.tau_steps) is None or self.tau_steps < 1:
+            raise SchemaError("run.tau_steps", "need an integer >= 1")
+        if not (_number(self.S) and 4 <= self.S < math.inf):
+            raise SchemaError("run.S", "need a finite truncation S >= 4")
+        if not all(_number(xi) and math.isfinite(xi) and xi != 0 for xi in self.xi):
+            raise SchemaError("run.xi", "each xi must be a finite nonzero number")
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _exact_int(value):
@@ -166,6 +180,9 @@ def parse_config(text):
 
     order = need("order", int)
     size = need("system_size", int)
+    if size is not None and size < 1:
+        errors.append(SchemaError("system_size", "need an integer >= 1"))
+        size = None
     base_dim = need("base_dim", int)
     geometry = need("geometry", str)
     weight_c = doc.get("weight_c", 0)
@@ -216,8 +233,13 @@ def parse_config(text):
                     continue
                 dx, dz, re, im = term
                 key = (_exact_int(dx), _exact_int(dz))
-                if None in key:
-                    errors.append(SchemaError(f"{path}.poly[{j}]", "degrees must be integers"))
+                if None in key or min(key) < 0:
+                    errors.append(SchemaError(f"{path}.poly[{j}]",
+                                              "degrees must be non-negative integers"))
+                    bad = True
+                    continue
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    errors.append(SchemaError(f"{path}.poly[{j}]", "coefficient must be finite"))
                     bad = True
                     continue
                 table[key] = table.get(key, 0) + complex(re, im) * np.eye(size)
@@ -459,10 +481,13 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        overrides = {}
-        for item in args.tol_override:
-            name, _, value = item.partition("=")
-            overrides[name] = float(value)
+        try:
+            overrides = {name: float(value) for name, _, value in
+                         (item.partition("=") for item in args.tol_override)}
+            xi = None if args.xi is None else tuple(
+                float(x) for x in str(args.xi).split(",") if x)
+        except ValueError as exc:
+            raise SchemaError("--tol-override/--xi", str(exc)) from exc
         op = None
         if args.config is not None:
             cfg, op = load_config(args.config)
@@ -476,8 +501,8 @@ def main(argv=None):
             value = getattr(args, name)
             if value is not None:
                 setattr(cfg, name, value)
-        if args.xi is not None:
-            cfg.xi = tuple(float(x) for x in str(args.xi).split(",") if x)
+        if xi is not None:
+            cfg.xi = xi
         cfg.tol_overrides.update(overrides)
         replace(cfg)  # re-validate after the command-line overrides
         if cfg.subcommand == "verify":

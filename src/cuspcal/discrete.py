@@ -6,7 +6,8 @@ derivative is constant-coefficient: x^2 d/dx = -d/ds.
 
 Two routes to the discrete Calderon projector:
   path A (`calderon_path_spaces`): plus/minus boundary-data spaces of the
-    doubled operator, as projector_from_pair;
+    doubled operator, as projector_from_pair (on the strip, one sine mode
+    in s at a time when the operator is s-separable);
   path B (`calderon_path_jump`, 1-D geometries): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
@@ -17,12 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ._poly import Jet, PolyMat1, poly_on_jet
 from .errors import (
     GeometryMismatch,
+    NotComplementary,
     SolveFailure,
     TraceUnstable,
 )
@@ -328,14 +331,19 @@ class PathProjection:
     operator: GridOperator
 
 
-def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10, solve_chunk=64):
+def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
     """Discrete Calderon projector with range B+ and kernel B-: boundary
-    jets of the one-sided discrete Dirichlet problems on the doubled grid."""
+    jets of the one-sided discrete Dirichlet problems on the doubled grid.
+
+    On the strip, an s-separable operator is solved one sine mode in s at a
+    time; every other operator through a sparse LU of each body."""
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
         return _path_spaces_toy(opd, trace_degree, rank_tol)
-    return _path_spaces_strip(opd, trace_degree, rank_tol, solve_chunk)
+    if _s_separable(opd.model):
+        return _path_spaces_modes(opd, trace_degree, rank_tol)
+    return _path_spaces_lu(opd, trace_degree, rank_tol)
 
 
 def _dirichlet_rows(mat, keep, data_rows):
@@ -395,86 +403,138 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
     return PathProjection(proj, bp, bm, layout, opd)
 
 
-def _path_spaces_strip(opd, trace_degree, rank_tol, solve_chunk):
-    op = opd.model
-    m = op.order
+def _s_separable(op):
+    """No coefficient depends on x and every power of x^2 D_x is even: the
+    doubled strip matrix then commutes with the DST-I in s."""
+    return all(k % 2 == 0 and all(dx == 0 for dx, _ in pm.coeffs)
+               for (k, _, _), pm in op.coefficients.items())
+
+
+def _strip_setup(opd, trace_degree):
+    m = opd.model.order
     if m != 2:
         raise ValueError("strip path construction is implemented for order 2")
     p = trace_degree if trace_degree is not None else m + 1
-    grid = opd.grid
-    ns, nz = grid.ns, grid.nz
-    hz = grid.hz
-    nzz = 2 * nz
-    n_int = ns - 1
-    k_layers = p + 2
-    s_nodes = grid.s_nodes()
+    ns = opd.grid.ns
+    layout = {"geometry": "StripHyperbolic", "m": m, "N": 1, "n_int": ns - 1,
+              "s_interior": opd.grid.s_nodes()[1:ns], "data_dim": 4 * (ns - 1)}
+    return m, p, layout
 
-    def flat(i, j):
-        return i * nzz + j
+
+def _body_lines(grid, side):
+    """Global z lines of a body: side +1 is z in [0, L], side -1 is
+    z in [L, 2L] (its last line wraps to z = 0)."""
+    return (np.arange(grid.nz + 1) + (0 if side > 0 else grid.nz)) % (2 * grid.nz)
+
+
+def _jet_rows(u, hz, m, p, side):
+    """Data rows (val@0, Dz@0, val@L, Dz@L) of the boundary jets of body
+    solutions u, whose first axis runs over the body's z lines. The line
+    index increases with global z on both bodies, so the jet at the lower
+    interface is one-sided from above (+) and at the upper one from below
+    (-), in the global D_z convention."""
+    k_layers = p + 2
+    jet_a, _ = one_sided_trace(u[1 : 1 + k_layers], hz, +1, m, p)
+    jet_b, _ = one_sided_trace(u[-2 : -2 - k_layers : -1], hz, -1, m, p)
+    # minus body: its first line is z = L, its last z = 2L ~ 0
+    lo, hi = (jet_a, jet_b) if side > 0 else (jet_b, jet_a)
+    return [lo[0], lo[1], hi[0], hi[1]]
+
+
+def _path_spaces_lu(opd, trace_degree, rank_tol):
+    """Strip path A by a sparse LU of each body, in float64 when the
+    assembled matrix is real."""
+    m, p, layout = _strip_setup(opd, trace_degree)
+    grid = opd.grid
+    ns, nj = grid.ns, grid.nz + 1
 
     def side_basis(side):
-        """side +1: plus body z in [0, L]; side -1: minus body z in [L, 2L]."""
-        if side > 0:
-            jglob = np.arange(0, nz + 1)
-        else:
-            jglob = (nz + np.arange(0, nz + 1)) % nzz
-        nj = jglob.size
         ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
-        gidx = flat(ii, jglob[jl]).ravel()
+        gidx = (ii * 2 * grid.nz + _body_lines(grid, side)[jl]).ravel()
         sub = opd.matrix[gidx][:, gidx]
         interior = (ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)
         msub, _ = _dirichlet_rows(sub, np.flatnonzero(interior.ravel()), None)
+        dtype = complex
+        if not np.any(msub.data.imag):
+            dtype = float
+            msub = sp.csc_matrix((msub.data.real.copy(), msub.indices, msub.indptr),
+                                 shape=msub.shape)
         lu = spla.splu(msub)
-
-        def local(i, j):
-            return i * nj + j
-
-        data_nodes_a = local(np.arange(1, ns), 0)          # z = 0 resp. z = L
-        data_nodes_b = local(np.arange(1, ns), nj - 1)     # z = L resp. z = 2L
-        rhs_cols = np.concatenate([data_nodes_a, data_nodes_b])
-        ncols = rhs_cols.size
-        basis = np.zeros((4 * n_int, ncols), dtype=complex)
-        # trace sample layers next to each interface, in the jl coordinate
-        layers_a = [local(np.arange(1, ns), 1 + t) for t in range(k_layers)]
-        layers_b = [local(np.arange(1, ns), nj - 2 - t) for t in range(k_layers)]
-        for start in range(0, ncols, solve_chunk):
-            sel = rhs_cols[start : start + solve_chunk]
-            rhs = np.zeros(((ns + 1) * nj, sel.size), dtype=complex)
+        lines = np.arange(1, ns) * nj
+        rhs_cols = np.concatenate([lines, lines + nj - 1])  # data at jl = 0, nj - 1
+        blocks = []
+        for start in range(0, rhs_cols.size, 64):
+            sel = rhs_cols[start : start + 64]
+            rhs = np.zeros(((ns + 1) * nj, sel.size), dtype=dtype)
             rhs[sel, np.arange(sel.size)] = 1.0
-            u = lu.solve(rhs)
-            va = np.stack([u[idx] for idx in layers_a])   # (K, n_int, ncol)
-            vb = np.stack([u[idx] for idx in layers_b])
-            # jl increases with global z on both bodies, so the jet at the
-            # lower interface is one-sided from above (+) and at the upper
-            # interface from below (-), in the global D_z convention.
-            jet_a, _ = one_sided_trace(va, hz, +1, m, p)
-            jet_b, _ = one_sided_trace(vb, hz, -1, m, p)
-            cols = slice(start, start + sel.size)
-            if side > 0:
-                # data vector blocks: (val@0, Dz@0, val@L, Dz@L)
-                basis[0 * n_int : 1 * n_int, cols] = jet_a[0]
-                basis[1 * n_int : 2 * n_int, cols] = jet_a[1]
-                basis[2 * n_int : 3 * n_int, cols] = jet_b[0]
-                basis[3 * n_int : 4 * n_int, cols] = jet_b[1]
-            else:
-                # minus body: jl=0 is z=L, jl=nj-1 is z=2L ~ 0
-                basis[2 * n_int : 3 * n_int, cols] = jet_a[0]
-                basis[3 * n_int : 4 * n_int, cols] = jet_a[1]
-                basis[0 * n_int : 1 * n_int, cols] = jet_b[0]
-                basis[1 * n_int : 2 * n_int, cols] = jet_b[1]
-        return basis
+            u = lu.solve(rhs).reshape(ns + 1, nj, sel.size)[1:ns].transpose(1, 0, 2)
+            blocks.append(np.concatenate(_jet_rows(u, grid.hz, m, p, side)))
+        return np.hstack(blocks)
 
     bp = SubspaceBasis.from_span(side_basis(+1), rank_tol=rank_tol)
     bm = SubspaceBasis.from_span(side_basis(-1), rank_tol=rank_tol)
-    proj = projector_from_pair(bp, bm)
-    layout = {
-        "geometry": "StripHyperbolic",
-        "m": m,
-        "N": 1,
-        "n_int": n_int,
-        "s_interior": s_nodes[1:ns],
-        "data_dim": 4 * n_int,
-    }
+    return PathProjection(projector_from_pair(bp, bm), bp, bm, layout, opd)
+
+
+def _path_spaces_modes(opd, trace_degree, rank_tol):
+    """Strip path A for an s-separable operator, by fast diagonalisation.
+
+    With the same-line block A0 and the next-line block A1 of the assembled
+    matrix, sine mode j = 1..ns-1 of the DST-I in s solves the z-problem
+    (A0 + 2 cos(pi j / ns) A1) u = 0 on each body: one tridiagonal solve per
+    mode and body, and one 4 x 4 projector per mode. Rank and complementarity
+    are certified against the largest singular value over all modes, as the
+    LU route certifies the full bases.
+    """
+    m, p, layout = _strip_setup(opd, trace_degree)
+    grid = opd.grid
+    ns, n_int, nzz = grid.ns, layout["n_int"], 2 * grid.nz
+    line = opd.matrix[nzz : 2 * nzz]  # rows of the s line i = 1
+    a0 = line[:, nzz : 2 * nzz].toarray()
+    a1 = line[:, 2 * nzz : 3 * nzz].toarray()
+    if not (np.any(a0.imag) or np.any(a1.imag)):
+        a0, a1 = a0.real, a1.real
+    modes = np.arange(1, ns)
+    twocos = 2.0 * np.cos(np.pi * modes / ns)
+
+    def band(a):  # LAPACK (1, 1) band storage of a tridiagonal matrix
+        out = np.zeros((3, a.shape[0]), dtype=a.dtype)
+        out[0, 1:], out[1], out[2, :-1] = np.diagonal(a, 1), np.diagonal(a), np.diagonal(a, -1)
+        return out
+
+    def side_span(side):
+        body = _body_lines(grid, side)
+        b0, b1 = a0[np.ix_(body, body)], a1[np.ix_(body, body)]
+        band0, band1 = band(b0[1:-1, 1:-1]), band(b1[1:-1, 1:-1])
+        rhs0, rhs1 = -b0[1:-1][:, [0, -1]], -b1[1:-1][:, [0, -1]]
+        u = np.zeros((body.size, n_int, 2), dtype=a0.dtype)
+        u[0, :, 0] = u[-1, :, 1] = 1.0
+        for j, c in enumerate(twocos):
+            u[1:-1, j] = sla.solve_banded((1, 1), band0 + c * band1, rhs0 + c * rhs1)
+        q = np.stack(_jet_rows(u, grid.hz, m, p, side), axis=1)  # (mode, 4, 2)
+        basis, sv, _ = np.linalg.svd(q, full_matrices=False)
+        return basis, int(np.sum(sv > rank_tol * sv.max()))
+
+    (up, r), (um, k) = side_span(+1), side_span(-1)
+    if r + k != 4 * n_int:
+        raise NotComplementary(
+            f"range dim {r} + kernel dim {k} != ambient dim {4 * n_int}", gap=0.0)
+    pair = np.concatenate([up, um], axis=2)
+    sv = np.linalg.svd(pair, compute_uv=False)
+    if sv.min() <= rank_tol * sv.max():
+        raise NotComplementary(
+            "concatenated range/kernel basis is numerically singular", gap=float(sv.min()))
+    c_modes = up @ np.linalg.inv(pair)[:, :2]
+    smat = np.sqrt(2.0 / ns) * np.sin(np.pi * np.outer(modes, modes) / ns)
+
+    def lift(blocks):  # (mode, 4, c) -> (I_4 x S) blockdiag(blocks)
+        return np.einsum("ij,jrc->ricj", smat, blocks).reshape(4 * n_int, -1)
+
+    half = lift(c_modes).reshape(4 * n_int, 4, n_int)
+    cmat = (half.real @ smat + 1j * (half.imag @ smat)).reshape(4 * n_int, -1)
+    bp = SubspaceBasis(4 * n_int, lift(up), rank_tol)
+    bm = SubspaceBasis(4 * n_int, lift(um), rank_tol)
+    proj = Projector(cmat, idempotence_defect(cmat), bp, bm)
     return PathProjection(proj, bp, bm, layout, opd)
 
 
@@ -800,27 +860,3 @@ def _frozen_collar_symbol(op):
     coeffs = {(k, (), (0,)): jets[k][0] for k in range(op.order + 1)}
     sym = PolyMatrixSymbol(op.order, n, 0, 1, coeffs)
     return calderon_symbol(sym, (1.0,))
-
-
-def smallest_eigenvalue(opd, iters=60, seed=0):
-    """Smallest-magnitude eigenvalue of the interior (non-Dirichlet) block
-    of the doubled operator, by inverse iteration with a sparse LU."""
-    keep = np.setdiff1d(np.arange(opd.n_unknowns),
-                        opd.masks.get("dirichlet", np.array([], dtype=int)))
-    mat = opd.matrix[keep][:, keep].tocsc()
-    try:
-        lu = spla.splu(mat)
-    except RuntimeError:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
-    x /= np.linalg.norm(x)
-    lam = np.inf
-    for _ in range(iters):
-        y = lu.solve(x)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0:
-            return 0.0
-        x = y / ny
-        lam = np.vdot(x, mat @ x).real
-    return float(lam)

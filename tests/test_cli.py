@@ -158,6 +158,31 @@ class TestMain:
             bm = minus_boundary_data_space(ext, op, (tau,))
             assert float(line.split(",")[col]) == direct_sum_check(bp, bm).gap
 
+    @pytest.mark.parametrize("edit,argv", [
+        (None, ["discrete", "--ns", "63"]),  # ns // 4 < 16 nodes
+        (lambda doc: doc["run"].update(S=3), ["discrete"]),
+        (lambda doc: doc.update(system_size=0), ["symbol"]),
+        (lambda doc: doc["coefficients"][1]["poly"][0].__setitem__(2, float("nan")),
+         ["symbol"]),
+        (lambda doc: doc["coefficients"][1]["poly"][0].__setitem__(1, -1), ["symbol"]),
+        (None, ["symbol", "--xi", "0"]),
+        (None, ["symbol", "--xi", "one"]),
+        (None, ["symbol", "--tol-override", "probe=small"]),
+        (None, ["normal", "--tau-steps", "-1"]),
+    ], ids=["ns-63", "S-3", "system-size-0", "nan-coefficient", "negative-degree",
+            "xi-0", "xi-not-a-number", "tol-not-a-number", "tau-steps-negative"])
+    def test_input_edge_is_input_error(self, tmp_path, capsys, edit, argv):
+        doc = json.loads(strip_config_text())
+        if edit is not None:
+            edit(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        status = main(argv + ["--config", str(path), "--out", str(tmp_path / "o")])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_tau_beyond_mu_cap_is_input_error(self, tmp_path, capsys):
         status = main(["normal", "--config", str(CONFIG_DIR / "strip_laplacian.json"),
                        "--out", str(tmp_path / "o"), "--tau-max", "17"])

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cuspcal import discrete
 from cuspcal._poly import PolyMat1
 from cuspcal.discrete import (
     PhiGrid,
@@ -14,17 +17,18 @@ from cuspcal.discrete import (
     jump_operator,
     normal_probe,
     one_sided_trace,
-    smallest_eigenvalue,
     symbol_probe,
+    _path_spaces_lu,
+    _path_spaces_modes,
 )
-from cuspcal.errors import GeometryMismatch, TraceUnstable
+from cuspcal.errors import GeometryMismatch, NotComplementary, TraceUnstable
 from cuspcal.fibre import (
     Fibre,
     FibreExtension,
     ModelOperator,
     _doubled_fibre_min_sv,
 )
-from cuspcal.linalg import fro
+from cuspcal.linalg import fro, idempotence_defect
 
 
 def halfline_toy(q=1.0):
@@ -120,8 +124,7 @@ class TestDoubleGeometry:
         keep = np.setdiff1d(np.arange(dop.n_unknowns), dop.masks["dirichlet"])
         m = dop.matrix.toarray()[np.ix_(keep, keep)]
         assert fro(m - m.conj().T) <= 1e-10 * fro(m)
-        lam = smallest_eigenvalue(dop)
-        assert lam > 0
+        assert np.linalg.eigvalsh(m)[0] > 0
 
     def test_fibre_slice_singular_without_bump(self):
         # zero-tau fibre mode of the doubled strip without bump is singular
@@ -322,6 +325,88 @@ class TestShadowSolutions:
         msub, _ = _dirichlet_rows(sub, np.flatnonzero(interior), None)
         sv = np.linalg.svd(msub.toarray(), compute_uv=False)
         assert sv[-1] > 1e-6
+
+
+def doubled_strip(coefficients, n):
+    op = ModelOperator(2, 1, 0, Fibre("interval", 1.0), coefficients,
+                       geometry="StripHyperbolic")
+    ext = FibreExtension.with_default_bump(1.0)
+    grid = PhiGrid("StripHyperbolic", S=6.0, ns=n, L=1.0, nz=n)
+    return double_geometry(grid, discretize(op, grid), bump=ext.bump)
+
+
+# s-separable: x-independent coefficients, even powers of x^2 D_x only
+SEPARABLE = {
+    "laplacian": {(2, 0, 0): 1.0, (0, 0, 2): 1.0},
+    "anisotropic": {(2, 0, 0): 1.0, (0, 0, 2): 2.0, (0, 0, 0): 0.25},
+    "complex": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 1): 0.3},
+}
+NOT_SEPARABLE = {
+    "x-dependent": {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (1, 0): 0.5}},
+    "odd-k": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 0, 0): 0.2},
+}
+
+
+def recording_splu(monkeypatch):
+    """Route discrete.spla.splu through a recorder of the matrix dtypes."""
+    seen, splu = [], discrete.spla.splu
+    monkeypatch.setattr(discrete, "spla", SimpleNamespace(
+        splu=lambda a: seen.append(a.dtype) or splu(a)))
+    return seen
+
+
+class TestStripRoutes:
+    @pytest.mark.parametrize("n", (24, 48))
+    @pytest.mark.parametrize("name", sorted(SEPARABLE))
+    def test_mode_route_matches_lu_route(self, name, n):
+        dop = doubled_strip(SEPARABLE[name], n)
+        assert bool(np.any(dop.matrix.data.imag)) == (name == "complex")
+        modes = _path_spaces_modes(dop, None, 1e-10)
+        lu = _path_spaces_lu(dop, None, 1e-10)
+        c = lu.projector.matrix
+        assert fro(modes.projector.matrix - c) <= 1e-11 * fro(c)
+        assert modes.layout["n_int"] == lu.layout["n_int"] == n - 1
+        np.testing.assert_array_equal(modes.layout["s_interior"], lu.layout["s_interior"])
+        assert modes.b_plus.dim == modes.b_minus.dim == 2 * (n - 1)
+
+    @pytest.mark.parametrize("name,dtype", [("x-dependent", np.float64),
+                                            ("odd-k", np.complex128)])
+    def test_route_guard(self, name, dtype, monkeypatch):
+        dop = doubled_strip(NOT_SEPARABLE[name], 24)
+        seen = recording_splu(monkeypatch)
+        c = calderon_path_spaces(dop).projector.matrix
+        assert seen == [dtype, dtype]  # one factorization per body
+        lu = _path_spaces_lu(dop, None, 1e-10).projector.matrix
+        np.testing.assert_array_equal(c, lu)
+        # the mode formula is wrong for these operators
+        forced = _path_spaces_modes(dop, None, 1e-10).projector.matrix
+        assert fro(forced - lu) > 1e-6 * fro(lu)
+
+    def test_separable_operator_factors_nothing(self, monkeypatch):
+        seen = recording_splu(monkeypatch)
+        calderon_path_spaces(doubled_strip(SEPARABLE["laplacian"], 24))
+        assert seen == []
+
+    def test_float64_lu_route_certified(self):
+        n = 48
+        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], n)
+        c = _path_spaces_lu(dop, None, 1e-10).projector.matrix
+        assert idempotence_defect(c) <= 1e-9
+        assert abs(np.trace(c) - 2 * (n - 1)) <= 1e-9
+
+    @pytest.mark.parametrize("rank_tol,reason", [
+        (0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
+        # at n = 24 the sv ratios are 0.113 (B+), 0.115 (B-), 0.111 ([B+|B-])
+        (0.112, "numerically singular"),
+    ])
+    def test_certificates_match_lu_route(self, rank_tol, reason):
+        dop = doubled_strip(SEPARABLE["laplacian"], 24)
+        errs = []
+        for route in (_path_spaces_modes, _path_spaces_lu):
+            with pytest.raises(NotComplementary, match=reason) as info:
+                route(dop, None, rank_tol)
+            errs.append(info.value)
+        assert errs[0].gap == pytest.approx(errs[1].gap, rel=1e-10, abs=0.0)
 
 
 @pytest.fixture(scope="module")
