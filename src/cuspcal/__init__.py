@@ -8,7 +8,6 @@ from .linalg import (
     Projector,
     SubspaceBasis,
     direct_sum_check,
-    lu_solve,
     orth_projector,
     projector_from_pair,
     riesz_projector,

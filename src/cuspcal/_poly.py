@@ -122,10 +122,6 @@ class PolyMat2:
             if np.any(c != 0):
                 self.coeffs[(int(dx), int(dz))] = c
 
-    @classmethod
-    def constant(cls, value, system_size):
-        return cls({(0, 0): value}, system_size)
-
     def eval(self, x, z):
         x = np.asarray(x, dtype=complex)
         z = np.asarray(z, dtype=complex)
@@ -142,6 +138,35 @@ class PolyMat2:
         if not table:
             return PolyMat1.zero(self.system_size)
         return PolyMat1(table, self.system_size)
+
+
+def ipow(e):
+    """Exact i**e for integer e (possibly negative)."""
+    return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[e % 4]
+
+
+def block_companion(coeffs):
+    """Companion matrix A of sum_k A_k D^k v = 0, k = 0..m, in the variables
+    V = (v, D v, ..., D^{m-1} v), so that D V = A V. The A_k are (..., N, N)
+    arrays of one shape; returns (..., mN, mN) from one solve with A_m."""
+    m, n = len(coeffs) - 1, coeffs[-1].shape[-1]
+    a = np.zeros(coeffs[-1].shape[:-2] + (m * n, m * n), dtype=complex)
+    for i in range(m - 1):
+        a[..., i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
+    a[..., (m - 1) * n :, :] = -np.linalg.solve(coeffs[m], np.concatenate(coeffs[:m], axis=-1))
+    return a
+
+
+def formal_adjoint(coeffs):
+    """L2 formal adjoint sum_l B_l D^l of sum_k A_k D^k, D = (1/i) d/dz, for
+    PolyMat1 coefficients A_k: B_l = sum_{k>=l} C(k,l) i^{-(k-l)} (d/dz)^{k-l} A_k^H."""
+    out = [PolyMat1.zero(coeffs[0].system_size) for _ in coeffs]
+    for k, c in enumerate(coeffs):
+        p = c.adjoint()
+        for r in range(k + 1):
+            out[k - r] = out[k - r] + p.scale(math.comb(k, r) * ipow(-r))
+            p = p.deriv()
+    return out
 
 
 class Jet:

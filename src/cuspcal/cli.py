@@ -30,7 +30,7 @@ from .discrete import (
     _frozen_interface_symbol,
 )
 from .errors import CuspcalError, NotComplementary, SchemaError, SolveFailure
-from .fibre import MU_CAP, Fibre, FibreExtension, ModelOperator, normal_calderon
+from .fibre import GEOMETRIES, MU_CAP, Fibre, FibreExtension, ModelOperator, normal_calderon
 from .linalg import fro
 from .suites import CRITERIA, VerifyConfig, run_criteria
 from .symbols import calderon_symbol, dn_from_projector
@@ -155,9 +155,6 @@ def _exact_int(value):
     return int(value) if exact else None
 
 
-_GEOMETRIES = ("HalfLineToy", "StripHyperbolic", "CuspDomain", "ExteriorToy")
-
-
 def parse_config(text):
     """Parse an operator configuration (JSON) into a RunConfig and a
     ModelOperator; raises SchemaError with the offending path."""
@@ -203,7 +200,7 @@ def parse_config(text):
                 fibre = Fibre("interval", float(length))
         else:
             fibre = Fibre("point")
-    if geometry is not None and geometry not in _GEOMETRIES:
+    if geometry is not None and geometry not in GEOMETRIES:
         errors.append(SchemaError("geometry", f"unknown geometry {geometry!r}"))
     coeff_list = need("coefficients", list)
     coefficients = {}

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._poly import Jet, PolyMat1, poly_on_jet
+from ._poly import Jet, formal_adjoint, ipow, poly_on_jet
 from .errors import (
     GeometryMismatch,
     NotComplementary,
@@ -32,11 +32,6 @@ from .errors import (
 from .fibre import Bump, ModelOperator, normal_calderon
 from .linalg import Projector, SubspaceBasis, fro, idempotence_defect, projector_from_pair
 from .symbols import PolyMatrixSymbol, calderon_symbol
-
-
-def _ipow(e):
-    """Exact i**e for integer e (possibly negative)."""
-    return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[e % 4]
 
 
 def _central_stencil(der, h):
@@ -170,7 +165,7 @@ def _assemble_toy(op, grid, doubled, bump):
         cv = pm.eval(x.astype(complex), 0.0)  # (npts, n, n)
         sign = np.where(minus, (-1.0) ** k, 1.0)
         cv = cv * (sign * 1.0)[:, None, None]
-        cv = cv * ((-1.0) ** k * _ipow(-k))
+        cv = cv * ((-1.0) ** k * ipow(-k))
         terms[k] = cv
     if bump is not None:
         bv = np.zeros(npts)
@@ -242,7 +237,7 @@ def _assemble_strip(op, grid, doubled, bump):
         if alpha != 0:
             raise ValueError("strip operators have point base (alpha = 0)")
         cv = pm.eval(x_int.astype(complex), zc_int.astype(complex))[:, 0, 0]
-        cv = cv * ((-1.0) ** k * _ipow(-(k + beta)))
+        cv = cv * ((-1.0) ** k * ipow(-(k + beta)))
         cv = cv * np.where(minus_z[int_j], (-1.0) ** beta, 1.0)
         terms[(k, beta)] = terms.get((k, beta), 0) + cv
     if bump is not None:
@@ -316,7 +311,7 @@ def _trace_weights(h, side, njet, degree):
     for r in range(njet):
         if r > degree:
             continue
-        w[r] = vinv[r] * math.factorial(r) / (side * h) ** r * _ipow(-r)
+        w[r] = vinv[r] * math.factorial(r) / (side * h) ** r * ipow(-r)
     return w
 
 
@@ -346,14 +341,14 @@ def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
     return _path_spaces_lu(opd, trace_degree, rank_tol)
 
 
-def _dirichlet_rows(mat, keep, data_rows):
+def _dirichlet_rows(mat, keep):
     """Replace rows outside `keep` with identity rows."""
     n = mat.shape[0]
     keep_d = np.zeros(n)
     keep_d[keep] = 1.0
     cleaner = sp.diags(keep_d)
     ident = sp.diags(1.0 - keep_d)
-    return (cleaner @ mat + ident).tocsc(), data_rows
+    return (cleaner @ mat + ident).tocsc()
 
 
 def _path_spaces_toy(opd, trace_degree, rank_tol):
@@ -381,7 +376,7 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
         interior[local_if] = False
         interior[-1 if side > 0 else 0] = False
         keep = np.repeat(interior, n)
-        msub, _ = _dirichlet_rows(sub, np.flatnonzero(keep), None)
+        msub = _dirichlet_rows(sub, np.flatnonzero(keep))
         lu = spla.splu(msub)
         cols = np.zeros((m * n, n), dtype=complex)
         for c in range(n):
@@ -453,7 +448,7 @@ def _path_spaces_lu(opd, trace_degree, rank_tol):
         gidx = (ii * 2 * grid.nz + _body_lines(grid, side)[jl]).ravel()
         sub = opd.matrix[gidx][:, gidx]
         interior = (ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)
-        msub, _ = _dirichlet_rows(sub, np.flatnonzero(interior.ravel()), None)
+        msub = _dirichlet_rows(sub, np.flatnonzero(interior.ravel()))
         dtype = complex
         if not np.any(msub.data.imag):
             dtype = float
@@ -606,7 +601,7 @@ def jump_from_collar(jets):
         for q in range(k):
             for r in range(k - q):
                 d = k - 1 - q - r
-                factor = math.comb(k - 1 - q, r) * _ipow(d - 1)
+                factor = math.comb(k - 1 - q, r) * ipow(d - 1)
                 blocks[r, q] += factor * jets[k][d]
     return JumpOperator(m, n, blocks)
 
@@ -627,8 +622,7 @@ def green_identity_defect(coeffs, jump, u_fn, phi_fn, rho_max, panels=48, quad_o
     Returns the absolute defect.
     """
     m = len(coeffs) - 1
-    n = coeffs[0].system_size
-    adjoint = _collar_adjoint(coeffs)
+    adjoint = formal_adjoint(coeffs)
     x, w = np.polynomial.legendre.leggauss(quad_order)
     edges = np.linspace(0.0, rho_max, panels + 1)
     total = 0.0 + 0j
@@ -654,7 +648,7 @@ def green_identity_defect(coeffs, jump, u_fn, phi_fn, rho_max, panels=48, quad_o
 def _dz_jet(classical_jets):
     """Convert classical derivative jets to D_rho jets."""
     order = classical_jets.shape[0]
-    conv = np.array([_ipow(-j) for j in range(order)])
+    conv = np.array([ipow(-j) for j in range(order)])
     return classical_jets * conv[:, None]
 
 
@@ -662,22 +656,7 @@ def _apply_collar(coeffs, rho, classical_jets):
     """Apply sum A_k D^k to a function given by classical jets at rho."""
     out = 0
     for k, pm in enumerate(coeffs):
-        out = out + _ipow(-k) * pm.eval(rho) @ classical_jets[k]
-    return out
-
-
-def _collar_adjoint(coeffs):
-    """Formal adjoint collar coefficients: B_l = sum_{k>=l} C(k,l) i^{-(k-l)}
-    (A_k^H)^((k-l))."""
-    m = len(coeffs) - 1
-    n = coeffs[0].system_size
-    out = [PolyMat1.zero(n) for _ in range(m + 1)]
-    for k in range(m + 1):
-        p = coeffs[k].adjoint()
-        for r in range(k + 1):
-            l = k - r
-            out[l] = out[l] + p.scale(math.comb(k, l) * _ipow(-r))
-            p = p.deriv()
+        out = out + ipow(-k) * pm.eval(rho) @ classical_jets[k]
     return out
 
 
@@ -716,7 +695,7 @@ def calderon_path_jump(opd, jump, pi=None, trace_degree=None,
             rhs = np.zeros(npts * n, dtype=complex)
             for l in range(m):
                 offs, st = _central_stencil(l, h)
-                stencil = st * _ipow(-l)
+                stencil = st * ipow(-l)
                 for off, cf in zip(offs, stencil):
                     node = i0 + off
                     rhs[node * n : (node + 1) * n] += (

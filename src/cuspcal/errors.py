@@ -5,17 +5,6 @@ class CuspcalError(Exception):
     """Base class for errors raised by this package."""
 
 
-class SingularMatrix(CuspcalError):
-    """A pivot fell below tolerance during an LU factorization."""
-
-    def __init__(self, pivot_index, magnitude):
-        self.pivot_index = int(pivot_index)
-        self.magnitude = float(magnitude)
-        super().__init__(
-            f"singular matrix: pivot {pivot_index} has magnitude {magnitude:.3e}"
-        )
-
-
 class RankDeficient(CuspcalError):
     """A basis matrix failed its full-column-rank certificate."""
 

@@ -9,14 +9,13 @@ endpoints; boundary-data vectors in C^{2mN} are ordered
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
-from ._poly import PolyMat1, PolyMat2
+from ._poly import PolyMat1, PolyMat2, block_companion, formal_adjoint
 from .errors import (
     IntegrationFailure,
     NotComplementary,
@@ -31,9 +30,6 @@ from .linalg import (
 )
 
 GEOMETRIES = ("HalfLineToy", "StripHyperbolic", "CuspDomain", "ExteriorToy")
-
-# exact powers of i^{-r} for r mod 4 (D_z^r = i^{-r} d^r/dz^r)
-I_NEG = (1.0 + 0j, -1j, -1.0 + 0j, 1j)
 
 
 @dataclass(frozen=True)
@@ -139,39 +135,13 @@ class FibreODE:
     def companion(self, z):
         """D_z-convention companion: D_z V = A(z) V, V = (v, ..., D_z^{m-1} v).
         Evaluates at scalar or array z; returns (..., mN, mN)."""
-        m, n = self.order, self.system_size
-        vals = self.coeff_values(z)
-        a = np.zeros(np.shape(z) + (m * n, m * n), dtype=complex)
-        for i in range(m - 1):
-            a[..., i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
-        a[..., (m - 1) * n :, :] = -np.linalg.solve(vals[m], np.concatenate(vals[:m], axis=-1))
-        return a
-
-    def apply(self, z, jets):
-        """Apply the ODE to D_z-jets (v, D_z v, ..., D_z^m v) at z."""
-        vals = self.coeff_values(z)
-        out = np.zeros_like(jets[0])
-        for b in range(self.order + 1):
-            out = out + vals[b] @ jets[b]
-        return out
+        return block_companion(self.coeff_values(z))
 
     def formal_adjoint(self):
-        """L2 formal adjoint sum_l B_l(z) D_z^l with
-
-        B_l = sum_{k>=l} C(k,l) i^{-(k-l)} (d/dz)^{k-l} A_k^H.
-
-        The bump potential, when present, must be real-valued and is kept.
-        """
-        m, n = self.order, self.system_size
-        out = [PolyMat1.zero(n) for _ in range(m + 1)]
-        for k in range(m + 1):
-            p = self.coeffs[k].adjoint()
-            for r in range(k + 1):
-                l = k - r
-                factor = math.comb(k, l) * I_NEG[r % 4]
-                out[l] = out[l] + p.scale(factor)
-                p = p.deriv()
-        return FibreODE(m, n, self.interval, out, mu=self.mu,
+        """L2 formal adjoint (see _poly.formal_adjoint). The bump potential,
+        when present, must be real-valued and is kept."""
+        return FibreODE(self.order, self.system_size, self.interval,
+                        formal_adjoint(self.coeffs), mu=self.mu,
                         extra_potential=self.extra_potential,
                         label=self.label + "*")
 
@@ -313,11 +283,9 @@ def _data_space(ode, side, rank_tol):
     return basis, tail
 
 
-def boundary_data_space(ode, nu_convention="collar", rank_tol=1e-8):
+def boundary_data_space(ode, rank_tol=1e-8):
     """Basis of B+(mu) = {gamma u : N(P)(mu) u = 0} in C^{2mN}, data ordered
     (jet at z_lo, jet at z_hi) with the single global D_z convention."""
-    if nu_convention not in ("collar", "global"):
-        raise ValueError("nu convention is the single global collar field")
     return _data_space(ode, "plus", rank_tol)[0]
 
 
@@ -354,12 +322,9 @@ class FibreExtension:
     """
 
     length: float
-    mode: str = "circle"
     bump: Bump | None = None
 
     def __post_init__(self):
-        if self.mode not in ("circle", "mirror"):
-            raise ValueError(f"unknown doubling mode {self.mode!r}")
         if self.bump is not None:
             lo, hi = self.bump.support
             if not (self.length < lo and hi < 2 * self.length):
@@ -367,14 +332,11 @@ class FibreExtension:
 
     @classmethod
     def with_default_bump(cls, length, height=1.0):
-        return cls(length, "circle",
-                   Bump(height, (1.15 * length, 1.85 * length)))
+        return cls(length, Bump(height, (1.15 * length, 1.85 * length)))
 
     def minus_ode(self, op, mu):
         """Normal family of the doubled operator on the minus side [L, 2L]:
         mirrored coefficients B_b(z) = (-1)^b A_b(2L - z), plus the bump."""
-        if self.mode != "circle":
-            raise ValueError("mirror doubling lives in the discrete module")
         base = normal_operator(op, mu)
         two_l = 2.0 * self.length
         coeffs = [
@@ -403,20 +365,15 @@ class UcpReport:
 
 def ucp_check(ode, rank_tol=1e-8):
     """Shadow-solution dimension of the fibre ODE (zero for the model class
-    by ODE uniqueness) plus a conditioning report: the smallest singular
-    value of the one-endpoint D_z-jet map of the classically normalized
-    fundamental basis."""
-    m, n = ode.order, ode.system_size
-    f = fundamental_matrix(ode)
-    conv = np.kron(np.diag([I_NEG[k % 4] for k in range(m)]),
-                   np.eye(n, dtype=complex))
-    jet_lo = f.jet_lo @ conv
-    jet_hi = f.jet_hi @ conv
-    stacked = np.vstack([jet_lo, jet_hi])
-    s = np.linalg.svd(stacked, compute_uv=False)
+    by ODE uniqueness): d minus the rank of the stacked end jets [lo; hi] of
+    a collocated solution basis. The conditioning report min_sv is the
+    smallest singular value of the first d rows of the left singular
+    vectors of [lo; hi], the one-endpoint jet map of an orthonormal basis of
+    the solution data, which does not depend on the basis chosen."""
+    lo, hi, _ = _collocated_jets(ode, "plus")
+    u, s, _ = np.linalg.svd(np.vstack([lo, hi]), full_matrices=False)
     rank = int(np.sum(s > rank_tol * s[0]))
-    min_sv = float(np.linalg.svd(jet_lo, compute_uv=False)[-1])
-    return UcpReport(ode.dim - rank, min_sv)
+    return UcpReport(ode.dim - rank, float(np.linalg.norm(u[: ode.dim], -2)))
 
 
 def range_solution_residual(ode, projector, rtol=1e-11):
@@ -463,13 +420,16 @@ class ScanReport:
     failing: list
 
 
-def full_ellipticity_scan(op, mu_grid, ext=None, nz=128, tol=1e-6):
+def full_ellipticity_scan(op, mu_grid, ext=None, tol=1e-6):
     """Invertibility of the normal family over a mu grid.
 
     Point fibres: N(P)(mu) is a matrix, so a singular-value check. Interval
-    fibres: smallest singular value of the discretized doubled-fibre
-    operator (circle grid, second-order stencils, bump from `ext`).
+    fibres: the doubled normal operator (bump from `ext`, none if omitted)
+    is invertible exactly when B+(mu) and B-(mu) meet only in 0, so min_sv
+    is their direct-sum gap (see normal_calderon).
     """
+    if ext is None and op.fibre.kind == "interval":
+        ext = FibreExtension(op.fibre.length)
     rows = []
     for mu in mu_grid:
         mu_t = tuple(np.atleast_1d(mu).astype(float))
@@ -481,50 +441,7 @@ def full_ellipticity_scan(op, mu_grid, ext=None, nz=128, tol=1e-6):
                 acc += (tau**k) * (eta**alpha if alpha else 1.0) * pm.eval(0.0, 0.0)
             sv = float(np.linalg.svd(acc, compute_uv=False)[-1])
         else:
-            sv = _doubled_fibre_min_sv(op, mu_t, ext, nz)
+            bp = boundary_data_space(normal_operator(op, mu_t))
+            sv = direct_sum_check(bp, minus_boundary_data_space(ext, op, mu_t)).gap
         rows.append(ScanRow(mu_t, sv, bool(sv > tol)))
     return ScanReport(rows, [r.mu for r in rows if not r.invertible])
-
-
-def _doubled_fibre_min_sv(op, mu, ext, nz):
-    length = op.fibre.length
-    if ext is None:
-        ext = FibreExtension(length, "circle", None)
-    ode = normal_operator(op, mu)
-    n = op.system_size
-    m = op.order
-    npts = 2 * nz
-    h = 2.0 * length / npts
-    z = np.arange(npts) * h
-    minus = z > length
-    zc = np.where(minus, 2.0 * length - z, z)
-    mat = np.zeros((npts * n, npts * n), dtype=complex)
-    for b in range(m + 1):
-        vals = ode.coeffs[b].eval(zc)
-        sign = np.where(minus, (-1.0) ** b, 1.0)
-        vals = vals * sign[:, None, None]
-        if b == 0 and ext.bump is not None:
-            vals = vals + ext.bump(z)[:, None, None] * np.eye(n)
-        offs, coefs = _central_stencil(b, h)
-        for off, cf in zip(offs, coefs):
-            cols = (np.arange(npts) + off) % npts
-            w = cf * I_NEG[b % 4]
-            for i in range(npts):
-                r0, c0 = i * n, cols[i] * n
-                mat[r0 : r0 + n, c0 : c0 + n] += w * vals[i]
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
-
-
-def _central_stencil(der, h):
-    """Second-order central finite-difference stencil for d^der/dz^der."""
-    if der == 0:
-        return [0], np.array([1.0])
-    if der == 1:
-        return [-1, 1], np.array([-0.5, 0.5]) / h
-    if der == 2:
-        return [-1, 0, 1], np.array([1.0, -2.0, 1.0]) / h**2
-    if der == 3:
-        return [-2, -1, 1, 2], np.array([-0.5, 1.0, -1.0, 0.5]) / h**3
-    if der == 4:
-        return [-2, -1, 0, 1, 2], np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h**4
-    raise ValueError(f"no stencil for derivative order {der}")

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra primitives: certified LU solves, Riesz
-contour projectors, and subspace operations.
+"""Dense complex linear algebra primitives: Riesz contour projectors and
+subspace operations.
 
 All unqualified norms are Frobenius norms; tolerances are relative to the
 Frobenius norm of the operand.
@@ -17,7 +17,6 @@ from .errors import (
     GramNotPD,
     NotComplementary,
     RankDeficient,
-    SingularMatrix,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -69,31 +68,6 @@ def nullspace(a, rtol=1e-10):
     u, s, vh = np.linalg.svd(a)
     rank = int(np.sum(s > rtol * (s[0] if s.size else 0.0)))
     return vh[rank:].conj().T
-
-
-def lu_solve(a, b, pivot_tol=1e-13):
-    """Solve A X = B by partially pivoted LU with a pivot certificate.
-
-    Raises SingularMatrix naming the first pivot whose magnitude falls
-    below pivot_tol relative to the largest entry of A.
-    """
-    a = as_matrix(a, "A")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("A must be square")
-    bm = np.asarray(b, dtype=complex)
-    if not np.all(np.isfinite(bm)):
-        raise ValueError("B has non-finite entries")
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    scale = max(float(np.max(np.abs(a), initial=0.0)), np.finfo(float).tiny)
-    bad = np.flatnonzero(diag <= pivot_tol * scale)
-    if bad.size:
-        raise SingularMatrix(bad[0], diag[bad[0]])
-    return sla.lu_solve((lu, piv), bm, check_finite=False)
 
 
 class SubspaceBasis:

@@ -357,7 +357,7 @@ def c07_normal_closed_forms(cfg):
                      "idem_defect": proj.idem_defect})
         ok = ok and dist <= tol_space and proj.idem_defect <= tol_idem
     try:
-        normal_calderon(op, (0.0,), FibreExtension(1.0, "circle", None))
+        normal_calderon(op, (0.0,), FibreExtension(1.0))
         bump_off_detected = False
     except NotComplementary:
         bump_off_detected = True

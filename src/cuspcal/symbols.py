@@ -16,6 +16,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsyl
 from scipy.optimize import minimize
 
+from ._poly import block_companion
 from .errors import (GraphConditionFailed, NotInvertible, SolveFailure,
                      SpectrumNearAxis, ZeroCovector)
 from .linalg import (
@@ -116,26 +117,18 @@ class PolyMatrixSymbol:
         return PolyMatrixSymbol(self.order, self.system_size, self.base_dim,
                                 self.fibre_codim, kept)
 
-    def eval(self, tau, xi_prime, principal_only=False):
-        t = _tangential(xi_prime)
-        if t.size != self.base_dim + self.fibre_codim:
-            raise ValueError("tangential covector has wrong length")
-        n = self.system_size
-        out = np.zeros((n, n), dtype=complex)
-        for (k, alpha, beta), c in self.coefficients.items():
-            if principal_only and k + sum(alpha) + sum(beta) != self.order:
-                continue
-            w = tau**k
-            for i, p in enumerate(alpha):
-                w *= t[i] ** p
-            for j, p in enumerate(beta):
-                w *= t[self.base_dim + j] ** p
-            out += w * c
-        return out
+    def eval(self, tau, xi_prime):
+        """sigma(tau, xi') = sum_k tau^k a_k(xi'); an array of tau gives
+        (..., N, N)."""
+        tau = np.asarray(tau)[..., None, None]
+        return sum(tau**k * a for k, a in enumerate(self.tau_coefficients(xi_prime)))
 
     def tau_coefficients(self, xi_prime):
         """a_k(xi') for k = 0..order, including lower-order terms."""
         t = _tangential(xi_prime)
+        if t.size != self.base_dim + self.fibre_codim:
+            raise ValueError(f"tangential covector has length {t.size}, "
+                             f"expected {self.base_dim + self.fibre_codim}")
         n = self.system_size
         out = [np.zeros((n, n), dtype=complex) for _ in range(self.order + 1)]
         for (k, alpha, beta), c in self.coefficients.items():
@@ -172,6 +165,8 @@ def ellipticity_check(sym, samples=128, seed=0, tol=1e-8, polish=8):
     pts = np.vstack([pts, np.eye(d), -np.eye(d)])
     pts /= np.linalg.norm(pts, axis=1)[:, None]
 
+    principal = sym.principal_part()
+
     def min_sv_at(x):
         x = np.asarray(x, dtype=float)
         nrm = np.linalg.norm(x)
@@ -179,7 +174,7 @@ def ellipticity_check(sym, samples=128, seed=0, tol=1e-8, polish=8):
             return np.inf
         x = x / nrm
         cov = _split_covector(sym, x)
-        m = sym.eval(cov.tau, cov, principal_only=True)
+        m = principal.eval(cov.tau, cov)
         return float(np.linalg.svd(m, compute_uv=False)[-1])
 
     values = np.array([min_sv_at(p) for p in pts])
@@ -200,18 +195,10 @@ def ellipticity_check(sym, samples=128, seed=0, tol=1e-8, polish=8):
 def companion_matrix(sym, xi_prime):
     """First-order companion A of sigma(D_t, xi') v = 0 in the variables
     V = (v, D_t v, ..., D_t^{m-1} v), so that D_t V = A V."""
-    t = _tangential(xi_prime)
-    if np.linalg.norm(t) == 0:
+    coeffs = sym.tau_coefficients(xi_prime)
+    if np.linalg.norm(_tangential(xi_prime)) == 0:
         raise ZeroCovector("companion reduction requires xi' != 0")
-    coeffs = sym.tau_coefficients(t)
-    m, n = sym.order, sym.system_size
-    a = np.zeros((m * n, m * n), dtype=complex)
-    for i in range(m - 1):
-        a[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
-    lead = coeffs[m]
-    for j in range(m):
-        a[(m - 1) * n :, j * n : (j + 1) * n] = -np.linalg.solve(lead, coeffs[j])
-    return a
+    return block_companion(coeffs)
 
 
 def _companion_radius(sym, t):
@@ -226,7 +213,7 @@ def _companion_radius(sym, t):
         nrm = np.linalg.norm(np.linalg.solve(lead, coeffs[k]), 2)
         fuji = max(fuji, nrm ** (1.0 / (m - k)))
     bound = 2.0 * fuji
-    a = companion_matrix(sym, t)
+    a = block_companion(coeffs)
     power = np.linalg.norm(np.linalg.matrix_power(a, 16), 2) ** (1.0 / 16.0)
     if np.isfinite(power):
         bound = min(bound, power)
@@ -453,7 +440,7 @@ def _real_axis_margin(sym, rng, sphere_samples=24, tau_samples=33):
     margin = np.inf
     for t in dirs:
         radius = _companion_radius(sym, t)
-        for tau in np.linspace(-radius, radius, tau_samples):
-            sv = np.linalg.svd(sym.eval(tau, t), compute_uv=False)[-1]
-            margin = min(margin, float(sv))
+        taus = np.linspace(-radius, radius, tau_samples)
+        sv = np.linalg.svd(sym.eval(taus, t), compute_uv=False)[:, -1]
+        margin = min(margin, float(sv.min()))
     return margin

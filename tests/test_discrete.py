@@ -22,12 +22,7 @@ from cuspcal.discrete import (
     _path_spaces_modes,
 )
 from cuspcal.errors import GeometryMismatch, NotComplementary, TraceUnstable
-from cuspcal.fibre import (
-    Fibre,
-    FibreExtension,
-    ModelOperator,
-    _doubled_fibre_min_sv,
-)
+from cuspcal.fibre import Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
 from cuspcal.linalg import fro, idempotence_defect
 
 
@@ -129,9 +124,9 @@ class TestDoubleGeometry:
     def test_fibre_slice_singular_without_bump(self):
         # zero-tau fibre mode of the doubled strip without bump is singular
         op = strip_laplacian()
-        assert _doubled_fibre_min_sv(op, (0.0,), None, 64) <= 1e-8
+        assert full_ellipticity_scan(op, [(0.0,)]).rows[0].min_sv <= 1e-8
         ext = FibreExtension.with_default_bump(1.0)
-        assert _doubled_fibre_min_sv(op, (0.0,), ext, 64) > 1e-3
+        assert full_ellipticity_scan(op, [(0.0,)], ext).rows[0].min_sv > 1e-3
 
 
 class TestJumpOperator:
@@ -322,7 +317,7 @@ class TestShadowSolutions:
         sub = dop.matrix[nodes][:, nodes]
         interior = np.ones(nodes.size, dtype=bool)
         interior[0] = interior[-1] = False
-        msub, _ = _dirichlet_rows(sub, np.flatnonzero(interior), None)
+        msub = _dirichlet_rows(sub, np.flatnonzero(interior))
         sv = np.linalg.svd(msub.toarray(), compute_uv=False)
         assert sv[-1] > 1e-6
 

@@ -138,7 +138,7 @@ class TestBoundaryDataSpaces:
         # at (2L, L): closed-form data in the (jet@0, jet@L) ordering
         tau, L = 1.0, 1.0
         op = strip_laplacian(L)
-        ext = FibreExtension(L, "circle", None)
+        ext = FibreExtension(L)
         bm = minus_boundary_data_space(ext, op, (tau,))
         c, s = np.cosh(tau * L), np.sinh(tau * L)
         closed = SubspaceBasis.from_span(np.array([
@@ -149,7 +149,7 @@ class TestBoundaryDataSpaces:
 
     def test_shared_constant_breaks_direct_sum(self):
         op = strip_laplacian()
-        ext = FibreExtension(1.0, "circle", None)
+        ext = FibreExtension(1.0)
         bp = boundary_data_space(normal_operator(op, (0.0,)))
         bm = minus_boundary_data_space(ext, op, (0.0,))
         rep = direct_sum_check(bp, bm)
@@ -175,7 +175,11 @@ class TestUcp:
         ode = normal_operator(strip_laplacian(), (1.0,))
         rep = ucp_check(ode)
         assert rep.dim_shadow == 0
-        assert abs(rep.min_sv - 1.0) <= 1e-9
+        # sigma_min of the z = 0 rows of an orthonormal basis of the
+        # cosh/sinh boundary data
+        q = closed_form_basis(1.0).orthonormal()
+        expect = np.linalg.svd(q[:2], compute_uv=False)[-1]
+        assert abs(rep.min_sv - expect) <= 1e-9
 
     def test_adjoint_ucp(self):
         ode = normal_operator(strip_laplacian(), (1.0,)).formal_adjoint()
@@ -254,7 +258,7 @@ class TestNormalCalderon:
     def test_not_complementary_reports_mu(self):
         op = strip_laplacian()
         with pytest.raises(NotComplementary) as err:
-            normal_calderon(op, (0.0,), FibreExtension(1.0, "circle", None))
+            normal_calderon(op, (0.0,), FibreExtension(1.0))
         assert err.value.mu == (0.0,)
 
     def test_range_residual(self):
@@ -331,23 +335,25 @@ class TestFullEllipticityScan:
     def test_strip_fails_exactly_at_tau_zero(self):
         op = strip_laplacian()
         taus = [(-1.0,), (-0.5,), (0.0,), (0.5,), (1.0,)]
-        rep = full_ellipticity_scan(op, taus, nz=64)
+        rep = full_ellipticity_scan(op, taus)
         assert rep.failing == [(0.0,)]
+
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_strip_gap_matches_normal_calderon(self, tau):
+        op = strip_laplacian()
+        ext = FibreExtension.with_default_bump(1.0)
+        rep = full_ellipticity_scan(op, [(tau,)], ext)
+        assert rep.rows[0].min_sv == normal_calderon(op, (tau,), ext).certs["gap"]
 
 
 class TestExtensionValidation:
     def test_bump_support_must_be_minus_side(self):
         with pytest.raises(ValueError):
-            FibreExtension(1.0, "circle", Bump(1.0, (0.5, 1.5)))
+            FibreExtension(1.0, Bump(1.0, (0.5, 1.5)))
 
     def test_bump_nonnegative(self):
         with pytest.raises(ValueError):
             Bump(-1.0, (0.0, 1.0))
-
-    def test_mirror_mode_unsupported_for_fibres(self):
-        ext = FibreExtension(1.0, "mirror", None)
-        with pytest.raises(ValueError):
-            minus_boundary_data_space(ext, strip_laplacian(), (1.0,))
 
 
 def test_propagate_jet_matches_fundamental():

@@ -6,7 +6,6 @@ from cuspcal.errors import (
     GramNotPD,
     NotComplementary,
     RankDeficient,
-    SingularMatrix,
 )
 from cuspcal.linalg import (
     ContourSpec,
@@ -15,7 +14,6 @@ from cuspcal.linalg import (
     fro,
     gram_adjoint,
     idempotence_defect,
-    lu_solve,
     orth_projector,
     projector_from_pair,
     riesz_projector,
@@ -25,46 +23,6 @@ from cuspcal.linalg import (
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestLuSolve:
-    def test_identity(self):
-        b = np.arange(6, dtype=complex).reshape(3, 2)
-        np.testing.assert_allclose(lu_solve(np.eye(3), b), b)
-
-    def test_diagonal_inverse(self):
-        x = lu_solve(np.diag([2.0, 4.0]), np.eye(2))
-        np.testing.assert_allclose(x, np.diag([0.5, 0.25]))
-
-    def test_residual_oracle(self):
-        # random well-conditioned 8x8: reconstruct a known solution
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, 8, 8) + 4.0 * np.eye(8)
-        x0 = random_complex(rng, 8, 3)
-        x = lu_solve(a, a @ x0)
-        assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
-        assert np.linalg.norm(a @ x - a @ x0) <= 1e-12 * np.linalg.norm(a @ x0)
-
-    def test_singular_raises_with_pivot(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrix) as err:
-            lu_solve(a, np.eye(2))
-        assert err.value.pivot_index == 1
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        a = random_complex(rng, 5, 5) + 3 * np.eye(5)
-        b = random_complex(rng, 5, 2)
-        x1 = lu_solve(a, b)
-        x2 = lu_solve(a, b)
-        assert np.array_equal(x1, x2)
-
-    def test_rejects_nonfinite(self):
-        a = np.eye(2)
-        a = a.astype(complex)
-        a[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            lu_solve(a, np.eye(2))
 
 
 class TestSubspaceBasis:

@@ -115,6 +115,12 @@ class TestCompanion:
         with pytest.raises(ZeroCovector):
             companion_matrix(laplace_symbol(), (0.0,))
 
+    @pytest.mark.parametrize("xi", [(1.0, 5.0), ()], ids=["too-long", "too-short"])
+    @pytest.mark.parametrize("fn", [calderon_symbol, complementary_symbol, companion_matrix])
+    def test_wrong_covector_length(self, fn, xi):
+        with pytest.raises(ValueError, match="length"):
+            fn(laplace_symbol(), xi)
+
 
 class TestCalderonSymbol:
     def test_laplacian_closed_form(self):
