@@ -20,7 +20,6 @@ import numpy as np
 from ._poly import PolyMat2
 from .discrete import (
     PhiGrid,
-    calderon_path_jump,
     calderon_path_spaces,
     discretize,
     double_geometry,
@@ -32,7 +31,7 @@ from .discrete import (
 from .errors import CuspcalError, NotComplementary, SchemaError, SolveFailure
 from .fibre import GEOMETRIES, MU_CAP, Fibre, FibreExtension, ModelOperator, normal_calderon
 from .linalg import fro
-from .suites import CRITERIA, VerifyConfig, run_criteria
+from .suites import CRITERIA, VerifyConfig, run_criteria, toy_path_row
 from .symbols import calderon_symbol, dn_from_projector
 
 
@@ -182,10 +181,10 @@ def parse_config(text):
         size = None
     base_dim = need("base_dim", int)
     geometry = need("geometry", str)
-    weight_c = doc.get("weight_c", 0)
-    if not isinstance(weight_c, int):
+    # the weight c of x^{-c m} P is accepted and ignored: it does not change
+    # the solutions of P u = 0
+    if not isinstance(doc.get("weight_c", 0), int):
         errors.append(SchemaError("weight_c", "expected an integer"))
-        weight_c = 0
     fibre_doc = need("fibre", dict)
     fibre = None
     if fibre_doc is not None:
@@ -254,8 +253,7 @@ def parse_config(text):
     if errors:
         raise SchemaError("config", "; ".join(str(e) for e in errors))
     try:
-        op = ModelOperator(order, size, base_dim, fibre, coefficients,
-                           geometry=geometry, weight_c=weight_c)
+        op = ModelOperator(order, size, base_dim, fibre, coefficients, geometry=geometry)
     except (ValueError, CuspcalError) as exc:
         raise SchemaError("coefficients", str(exc)) from exc
     allowed = {"ns", "nz", "S", "seed", "tau_min", "tau_max", "tau_steps",
@@ -336,15 +334,8 @@ def cmd_normal(cfg, op):
 
 def cmd_lab(cfg):
     """Seeded finite-dimensional suites (perturbation lemma + section-4
-    algebra + invertible extension)."""
-    vcfg = VerifyConfig(seed=cfg.seed, tol_overrides=cfg.tol_overrides)
-    results = run_criteria(vcfg, [5, 6])
-    out = Path(cfg.out_dir)
-    write_suite_outputs(results, out)
-    status = 0 if all(r.passed for r in results) else 1
-    for r in results:
-        print(r.line())
-    return status, results
+    algebra): the `lab` group of `verify`."""
+    return verify_all(replace(cfg, suite=("lab",)))
 
 
 def cmd_discrete(cfg, op):
@@ -355,16 +346,10 @@ def cmd_discrete(cfg, op):
     if op.geometry == "HalfLineToy":
         jump = jump_operator(op)
         for ns in (cfg.ns // 4, cfg.ns // 2, cfg.ns):
-            grid = PhiGrid("HalfLineToy", S=cfg.S, ns=ns)
-            dop = double_geometry(grid, discretize(op, grid))
-            pa = calderon_path_spaces(dop)
-            pb = calderon_path_jump(dop, jump)
-            gap = fro(pa.projector.matrix - pb.matrix)
-            rows.append({"ns": ns, "h": grid.hs, "path_gap": gap,
-                         "idem_spaces": pa.projector.idem_defect,
-                         "idem_jump": pb.idem_defect})
+            row, pa, pb = toy_path_row(op, jump, cfg.S, ns)
+            rows.append(row)
             if ns == cfg.ns:
-                write_projector(out / "projector_spaces.txt", pa.projector.matrix,
+                write_projector(out / "projector_spaces.txt", pa.matrix,
                                 f"toy ns={ns}")
                 write_projector(out / "projector_jump.txt", pb.matrix,
                                 f"toy ns={ns}")
@@ -373,7 +358,7 @@ def cmd_discrete(cfg, op):
                 dop2 = double_geometry(grid2, discretize(op, grid2))
                 pa2 = calderon_path_spaces(dop2)
                 rows.append({"ns": 2 * ns, "h": grid2.hs,
-                             "path_gap": fro(pa.projector.matrix - pa2.projector.matrix),
+                             "path_gap": fro(pa.matrix - pa2.projector.matrix),
                              "idem_spaces": pa2.projector.idem_defect,
                              "idem_jump": -1.0,
                              "note": "truncation-sensitivity-2S"})

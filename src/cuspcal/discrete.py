@@ -59,13 +59,15 @@ class PhiGrid:
     def __post_init__(self):
         if self.geometry not in ("HalfLineToy", "StripHyperbolic"):
             raise ValueError(f"no discrete geometry {self.geometry!r}")
-        if self.S < 4:
-            raise ValueError("truncation S must be >= 4")
+        if not 4 <= self.S < math.inf:
+            raise ValueError("truncation S must be finite and >= 4")
         if self.ns < 16:
             raise ValueError("need >= 16 nodes in s")
         if self.geometry == "StripHyperbolic":
             if self.L is None or self.nz is None:
                 raise ValueError("strip grid needs L and nz")
+            if not 0 < self.L < math.inf:
+                raise ValueError("fibre length L must be finite and > 0")
             if self.nz < 16:
                 raise ValueError("need >= 16 nodes in z")
 
@@ -95,14 +97,12 @@ class PhiGrid:
 
 @dataclass
 class GridOperator:
-    """Sparse discretization plus the diagonal phi-volume gram and masks."""
+    """Sparse discretization; `dirichlet` indexes its identity rows."""
 
     grid: PhiGrid
     matrix: sp.csr_matrix
-    gram: np.ndarray
-    masks: dict
+    dirichlet: np.ndarray
     model: ModelOperator
-    bump: Bump | None = None
 
     @property
     def n_unknowns(self):
@@ -146,7 +146,6 @@ def _assemble_toy(op, grid, doubled, bump):
     s = grid.s_nodes()
     npts = s.size
     h = grid.hs
-    interface = grid.ns if doubled else 0
     minus = s < 1.0
     sc = np.where(minus, 2.0 - s, s)
     x = 1.0 / sc
@@ -184,22 +183,14 @@ def _assemble_toy(op, grid, doubled, bump):
                     rows.append(ii * n + a)
                     cols.append(jj * n + b)
                     vals.append(w * cv[ii, a, b])
-    di = np.flatnonzero(dirich)
-    for a in range(n):
-        rows.append(di * n + a)
-        cols.append(di * n + a)
-        vals.append(np.ones(di.size, dtype=complex))
+    di = np.flatnonzero(np.repeat(dirich, n))
+    rows.append(di)
+    cols.append(di)
+    vals.append(np.ones(di.size, dtype=complex))
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(npts * n, npts * n)).tocsr()
-    gram = np.full(npts * n, h)
-    masks = {
-        "plus": np.flatnonzero(s >= 1.0 - 1e-12),
-        "minus": np.flatnonzero(minus),
-        "interface": np.array([interface]),
-        "dirichlet": di,
-    }
-    return GridOperator(grid, mat, gram, masks, op, bump)
+    return GridOperator(grid, mat, di, op)
 
 
 def _assemble_strip(op, grid, doubled, bump):
@@ -269,15 +260,7 @@ def _assemble_strip(op, grid, doubled, bump):
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(npts, npts)).tocsr()
-    gram = np.full(npts, hs * hz)
-    z_pattern = np.tile(minus_z, ns + 1)
-    masks = {
-        "plus": np.flatnonzero(~z_pattern),
-        "minus": np.flatnonzero(z_pattern),
-        "interface_lines": (0, nz),
-        "dirichlet": di,
-    }
-    return GridOperator(grid.doubled_copy() if doubled else grid, mat, gram, masks, op, bump)
+    return GridOperator(grid, mat, di, op)
 
 
 def one_sided_trace(values, h, side, njet, degree, stability_tol=None):
@@ -341,14 +324,29 @@ def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
     return _path_spaces_lu(opd, trace_degree, rank_tol)
 
 
-def _dirichlet_rows(mat, keep):
-    """Replace rows outside `keep` with identity rows."""
-    n = mat.shape[0]
-    keep_d = np.zeros(n)
-    keep_d[keep] = 1.0
-    cleaner = sp.diags(keep_d)
-    ident = sp.diags(1.0 - keep_d)
-    return (cleaner @ mat + ident).tocsc()
+def _body_solutions(opd, gidx, interior, data):
+    """Discrete Dirichlet problems on one body of the doubled grid, whose
+    unknowns are `gidx` in the doubled matrix: rows off the mask `interior`
+    become identity rows, and solution c has unit data at body unknown
+    data[c]. One LU of the body, in float64 when it has no imaginary part;
+    yields the solutions 64 columns at a time."""
+    keep = sp.diags(interior.astype(float))
+    mat = (keep @ opd.matrix[gidx][:, gidx] + sp.diags(1.0 - interior)).tocsc()
+    if not np.any(mat.data.imag):
+        mat = sp.csc_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=mat.shape)
+    lu = spla.splu(mat)
+    for start in range(0, data.size, 64):
+        sel = data[start : start + 64]
+        rhs = np.zeros((gidx.size, sel.size), dtype=mat.dtype)
+        rhs[sel, np.arange(sel.size)] = 1.0
+        yield lu.solve(rhs)
+
+
+def _path_from_spans(opd, side_span, layout, rank_tol):
+    """Path-A projector from the spanning data columns of each body."""
+    bp = SubspaceBasis.from_span(side_span(+1), rank_tol=rank_tol)
+    bm = SubspaceBasis.from_span(side_span(-1), rank_tol=rank_tol)
+    return PathProjection(projector_from_pair(bp, bm), bp, bm, layout, opd)
 
 
 def _path_spaces_toy(opd, trace_degree, rank_tol):
@@ -357,45 +355,19 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
     if m < 1:
         raise ValueError("path construction needs order >= 1")
     p = trace_degree if trace_degree is not None else m + 1
-    grid = opd.grid
-    ns = grid.ns
-    h = grid.hs
-    npts = 2 * ns + 1
-    i0 = ns
-    k_layers = p + 2
+    ns, h = opd.grid.ns, opd.grid.hs
+    interior = np.ones(ns + 1, dtype=bool)
+    interior[[0, -1]] = False  # interface and truncated end
+    interior = np.repeat(interior, n)
 
-    def side_basis(side):
-        if side > 0:
-            nodes = np.arange(i0, npts)
-        else:
-            nodes = np.arange(0, i0 + 1)
-        local_if = 0 if side > 0 else nodes.size - 1
-        idx = np.repeat(nodes * n, n) + np.tile(np.arange(n), nodes.size)
-        sub = opd.matrix[idx][:, idx]
-        interior = np.ones(nodes.size, dtype=bool)
-        interior[local_if] = False
-        interior[-1 if side > 0 else 0] = False
-        keep = np.repeat(interior, n)
-        msub = _dirichlet_rows(sub, np.flatnonzero(keep))
-        lu = spla.splu(msub)
-        cols = np.zeros((m * n, n), dtype=complex)
-        for c in range(n):
-            rhs = np.zeros(nodes.size * n, dtype=complex)
-            rhs[local_if * n + c] = 1.0
-            u = lu.solve(rhs).reshape(nodes.size, n)
-            if side > 0:
-                layers = u[local_if + 1 : local_if + 1 + k_layers]
-            else:
-                layers = u[local_if - 1 : local_if - 1 - k_layers : -1]
-            jet, _ = one_sided_trace(layers, h, side, m, p)
-            cols[:, c] = jet.reshape(m * n)
-        return cols
+    def side_span(side):  # body nodes ordered from the interface outward
+        gidx = ((ns + side * np.arange(ns + 1))[:, None] * n + np.arange(n)).ravel()
+        u = np.hstack(list(_body_solutions(opd, gidx, interior, np.arange(n))))
+        jet, _ = one_sided_trace(u.reshape(ns + 1, n, n)[1 : p + 3], h, side, m, p)
+        return jet.reshape(m * n, n)
 
-    bp = SubspaceBasis.from_span(side_basis(+1), rank_tol=rank_tol)
-    bm = SubspaceBasis.from_span(side_basis(-1), rank_tol=rank_tol)
-    proj = projector_from_pair(bp, bm)
     layout = {"geometry": "HalfLineToy", "m": m, "N": n, "data_dim": m * n}
-    return PathProjection(proj, bp, bm, layout, opd)
+    return _path_from_spans(opd, side_span, layout, rank_tol)
 
 
 def _s_separable(op):
@@ -437,38 +409,24 @@ def _jet_rows(u, hz, m, p, side):
 
 
 def _path_spaces_lu(opd, trace_degree, rank_tol):
-    """Strip path A by a sparse LU of each body, in float64 when the
-    assembled matrix is real."""
+    """Strip path A by a sparse LU of each body."""
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
     ns, nj = grid.ns, grid.nz + 1
+    ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
+    interior = ((ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)).ravel()
+    lines = np.arange(1, ns) * nj
+    data = np.concatenate([lines, lines + nj - 1])  # data at jl = 0, nj - 1
 
-    def side_basis(side):
-        ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
+    def side_span(side):
         gidx = (ii * 2 * grid.nz + _body_lines(grid, side)[jl]).ravel()
-        sub = opd.matrix[gidx][:, gidx]
-        interior = (ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)
-        msub = _dirichlet_rows(sub, np.flatnonzero(interior.ravel()))
-        dtype = complex
-        if not np.any(msub.data.imag):
-            dtype = float
-            msub = sp.csc_matrix((msub.data.real.copy(), msub.indices, msub.indptr),
-                                 shape=msub.shape)
-        lu = spla.splu(msub)
-        lines = np.arange(1, ns) * nj
-        rhs_cols = np.concatenate([lines, lines + nj - 1])  # data at jl = 0, nj - 1
         blocks = []
-        for start in range(0, rhs_cols.size, 64):
-            sel = rhs_cols[start : start + 64]
-            rhs = np.zeros(((ns + 1) * nj, sel.size), dtype=dtype)
-            rhs[sel, np.arange(sel.size)] = 1.0
-            u = lu.solve(rhs).reshape(ns + 1, nj, sel.size)[1:ns].transpose(1, 0, 2)
+        for u in _body_solutions(opd, gidx, interior, data):
+            u = u.reshape(ns + 1, nj, -1)[1:ns].transpose(1, 0, 2)
             blocks.append(np.concatenate(_jet_rows(u, grid.hz, m, p, side)))
         return np.hstack(blocks)
 
-    bp = SubspaceBasis.from_span(side_basis(+1), rank_tol=rank_tol)
-    bm = SubspaceBasis.from_span(side_basis(-1), rank_tol=rank_tol)
-    return PathProjection(projector_from_pair(bp, bm), bp, bm, layout, opd)
+    return _path_from_spans(opd, side_span, layout, rank_tol)
 
 
 def _path_spaces_modes(opd, trace_degree, rank_tol):
@@ -665,7 +623,7 @@ def calderon_path_jump(opd, jump, pi=None, trace_degree=None,
     """Path B on 1-D geometries: C-hat = gamma (Phat+Pi)^-1 gamma* J.
 
     For each boundary-data basis vector the right-hand side gamma* J U is a
-    gram-weighted delta/difference load on interface-adjacent nodes; the
+    delta/difference load, weighted by 1/h, on interface-adjacent nodes; the
     solution's one-sided plus trace is a column of the projector.
     """
     if opd.grid.geometry != "HalfLineToy":
@@ -699,7 +657,7 @@ def calderon_path_jump(opd, jump, pi=None, trace_degree=None,
                 for off, cf in zip(offs, stencil):
                     node = i0 + off
                     rhs[node * n : (node + 1) * n] += (
-                        np.conj(cf) * v[l] / opd.gram[node * n]
+                        np.conj(cf) * v[l] / h
                     )
             sol = lu.solve(rhs).reshape(npts, n)
             layers = sol[i0 + 1 : i0 + 1 + k_layers]
@@ -726,6 +684,36 @@ def _snap_frequency(tau, S):
     return k * np.pi / (S - 1.0)
 
 
+def _wave_probe(path, freq, csym, window, eval_fraction):
+    """Standing wave sin(freq (s - 1)) in each data slot q < k = len(csym)
+    against the prediction csym[r, q] * wave in slots r < k. Returns the
+    per-slot sup relative errors where the bump on `window` exceeds
+    `eval_fraction` of its maximum, and the largest response in the slots
+    from k on (the leakage), relative to the prediction."""
+    n_int = path.layout["n_int"]
+    s = path.layout["s_interior"]
+    env = Bump(1.0, window)(s)
+    if not np.any(env > 0):
+        raise ValueError("evaluation window does not meet the grid")
+    mask = env >= eval_fraction * env.max()
+    wave = np.sin(freq * (s - 1.0)).astype(complex)
+    k = csym.shape[0]
+    errs, leak = [], 0.0
+    for q in range(k):
+        d = np.zeros(4 * n_int, dtype=complex)
+        d[q * n_int : (q + 1) * n_int] = wave
+        e = path.projector.matrix @ d
+        num, den = 0.0, 0.0
+        for r in range(k):
+            pred = csym[r, q] * wave
+            act = e[r * n_int : (r + 1) * n_int]
+            num = max(num, float(np.max(np.abs((act - pred)[mask]))))
+            den = max(den, float(np.max(np.abs(pred[mask]))))
+        leak = max(leak, float(np.max(np.abs(e[k * n_int :]), initial=0.0)) / max(den, 1e-300))
+        errs.append(num / max(den, 1e-300))
+    return errs, leak
+
+
 def normal_probe(path, ext, tau, envelope, eval_fraction=0.5):
     """Compare the discrete projector against the normal-family projector on
     oscillatory boundary data (standing wave in s) x (unit jet pattern).
@@ -740,29 +728,9 @@ def normal_probe(path, ext, tau, envelope, eval_fraction=0.5):
     """
     if path.layout["geometry"] != "StripHyperbolic":
         raise GeometryMismatch("normal_probe runs on the strip geometry")
-    op = path.operator.model
     tau_snap = _snap_frequency(tau, path.operator.grid.S)
-    c4 = normal_calderon(op, (tau_snap,), ext).matrix
-    n_int = path.layout["n_int"]
-    s = path.layout["s_interior"]
-    env = Bump(1.0, envelope)(s)
-    if not np.any(env > 0):
-        raise ValueError("evaluation window does not meet the grid")
-    wave = np.sin(tau_snap * (s - 1.0)).astype(complex)
-    mask = env >= eval_fraction * env.max()
-    cmat = path.projector.matrix
-    errs = []
-    for q in range(4):
-        d = np.zeros(4 * n_int, dtype=complex)
-        d[q * n_int : (q + 1) * n_int] = wave
-        e = cmat @ d
-        num, den = 0.0, 0.0
-        for r in range(4):
-            pred = c4[r, q] * wave
-            act = e[r * n_int : (r + 1) * n_int]
-            num = max(num, float(np.max(np.abs((act - pred)[mask]))))
-            den = max(den, float(np.max(np.abs(pred[mask]))))
-        errs.append(num / max(den, 1e-300))
+    c4 = normal_calderon(path.operator.model, (tau_snap,), ext).matrix
+    errs, _ = _wave_probe(path, tau_snap, c4, envelope, eval_fraction)
     return ProbeReport(max(errs), tuple(errs),
                        {"tau": tau, "tau_snapped": tau_snap,
                         "envelope": envelope})
@@ -779,34 +747,15 @@ def symbol_probe(path_or_proj, op=None, xi=None, point=None, width=2.0,
     """
     if isinstance(path_or_proj, PathProjection):
         path = path_or_proj
-        op = path.operator.model
         if path.layout["geometry"] != "StripHyperbolic":
             raise GeometryMismatch("pass the 1-D projector matrix directly")
         if xi is None or point is None:
             raise ValueError("strip probe needs xi and a probe point")
-        n_int = path.layout["n_int"]
-        s = path.layout["s_interior"]
         xi_snap = _snap_frequency(xi, path.operator.grid.S)
-        csym = calderon_symbol(_frozen_interface_symbol(op, 1.0 / point),
+        csym = calderon_symbol(_frozen_interface_symbol(path.operator.model, 1.0 / point),
                                (float(xi_snap),)).matrix
-        env = Bump(1.0, (point - width, point + width))(s)
-        wave = np.sin(xi_snap * (s - 1.0)).astype(complex)
-        mask = env >= eval_fraction * env.max()
-        cmat = path.projector.matrix
-        errs = []
-        leak = 0.0
-        for q in range(2):
-            d = np.zeros(4 * n_int, dtype=complex)
-            d[q * n_int : (q + 1) * n_int] = wave
-            e = cmat @ d
-            num, den = 0.0, 0.0
-            for r in range(2):
-                pred = csym[r, q] * wave
-                act = e[r * n_int : (r + 1) * n_int]
-                num = max(num, float(np.max(np.abs((act - pred)[mask]))))
-                den = max(den, float(np.max(np.abs(pred[mask]))))
-            leak = max(leak, float(np.max(np.abs(e[2 * n_int :]))) / max(den, 1e-300))
-            errs.append(num / max(den, 1e-300))
+        errs, leak = _wave_probe(path, xi_snap, csym, (point - width, point + width),
+                                 eval_fraction)
         return ProbeReport(max(errs), tuple(errs),
                            {"xi": xi, "xi_snapped": xi_snap, "point": point,
                             "leakage": leak})

@@ -151,27 +151,26 @@ def _check_sa_and_proj(t, pi, gram, tol=1e-8):
         raise ValueError("Pi is not gram-orthogonal")
 
 
-def perturb_real(t, pi, alpha, gram=None):
-    """T + alpha Pi with an invertibility certificate (smallest singular
-    value); invertible when rg T (+) rg Pi is the whole space."""
+def _perturb(t, pi, alpha, gram, unit):
+    """T + unit alpha Pi and its smallest singular value."""
     t = as_matrix(t, "T")
     pi = as_matrix(pi, "Pi")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _check_sa_and_proj(t, pi, gram)
-    m = t + alpha * pi
+    m = t + unit * alpha * pi
     return PerturbReport(m, float(np.linalg.svd(m, compute_uv=False)[-1]))
+
+
+def perturb_real(t, pi, alpha, gram=None):
+    """T + alpha Pi with an invertibility certificate (smallest singular
+    value); invertible when rg T (+) rg Pi is the whole space."""
+    return _perturb(t, pi, alpha, gram, 1)
 
 
 def perturb_imag(t, pi, alpha, gram=None):
     """T + i alpha Pi; invertible iff rg T + rg Pi is the whole space."""
-    t = as_matrix(t, "T")
-    pi = as_matrix(pi, "Pi")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    _check_sa_and_proj(t, pi, gram)
-    m = t + 1j * alpha * pi
-    return PerturbReport(m, float(np.linalg.svd(m, compute_uv=False)[-1]))
+    return _perturb(t, pi, alpha, gram, 1j)
 
 
 def complement_in_minus(k, bvp, chi, support_tol=1e-8):

@@ -49,18 +49,17 @@ class ModelOperator:
 
         P = x^{-c m} sum a_{k,alpha,beta}(x, z) (x^2 D_x)^k (x D_y)^alpha D_z^beta
 
-    Coefficients are bivariate polynomial matrices in (x, z); the weight c
-    is recorded but ignored by all homogeneous-equation paths.
+    Coefficients are bivariate polynomial matrices in (x, z). The weight
+    x^{-c m} does not change the solutions of P u = 0, so it is not stored.
     """
 
     def __init__(self, order, system_size, base_dim, fibre, coefficients,
-                 geometry="StripHyperbolic", weight_c=0, rank_tol=1e-8):
+                 geometry="StripHyperbolic", rank_tol=1e-8):
         self.order = int(order)
         self.system_size = int(system_size)
         self.base_dim = int(base_dim)
         self.fibre = fibre
         self.geometry = geometry
-        self.weight_c = int(weight_c)
         if geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {geometry!r}")
         if self.order < 0:

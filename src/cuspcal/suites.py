@@ -408,37 +408,33 @@ def c08_ucnf(cfg):
     return bad == 0, rows, f"nonzero shadow dimensions: {bad}/100 checks"
 
 
+def toy_path_row(op, jump, S, ns):
+    """Paths A and B on the doubled 1-D toy grid (S, ns): the table row
+    (ns, h, path_gap, idem_spaces, idem_jump) and both projectors."""
+    grid = PhiGrid("HalfLineToy", S=S, ns=ns)
+    dop = double_geometry(grid, discretize(op, grid))
+    pa = calderon_path_spaces(dop).projector
+    pb = calderon_path_jump(dop, jump)
+    row = {"ns": ns, "h": grid.hs, "path_gap": fro(pa.matrix - pb.matrix),
+           "idem_spaces": pa.idem_defect, "idem_jump": pb.idem_defect}
+    return row, pa, pb
+
+
 def c09_path_agreement(cfg):
     """1-D two-path agreement: slope >= 1.7, finest gap <= 1e-5."""
     gap_tol = cfg.tol("path_gap", 1e-5)
     slope_min = cfg.tol("path_slope", 1.7)
     op = halfline_toy(q=1.0)
     jump = jump_operator(op)
-    rows, gaps, hs = [], [], []
-    for ns in cfg.toy_grids:
-        grid = PhiGrid("HalfLineToy", S=cfg.toy_S, ns=ns)
-        dop = double_geometry(grid, discretize(op, grid))
-        pa = calderon_path_spaces(dop)
-        pb = calderon_path_jump(dop, jump)
-        gap = fro(pa.projector.matrix - pb.matrix)
-        gaps.append(gap)
-        hs.append(grid.hs)
-        rows.append({"ns": ns, "h": grid.hs, "path_gap": gap,
-                     "idem_spaces": pa.projector.idem_defect,
-                     "idem_jump": pb.idem_defect})
-    slope = float(np.polyfit(np.log(hs), np.log(gaps), 1)[0])
+    rows = [toy_path_row(op, jump, cfg.toy_S, ns)[0] for ns in cfg.toy_grids]
+    gaps = [row["path_gap"] for row in rows]
+    slope = float(np.polyfit(np.log([row["h"] for row in rows]), np.log(gaps), 1)[0])
     # default-grid idempotence bar for both discrete projectors (reported
     # alongside the asserted convergence figures)
-    grid = PhiGrid("HalfLineToy", S=cfg.toy_default_S, ns=cfg.toy_default_ns)
-    dop = double_geometry(grid, discretize(op, grid))
-    pa = calderon_path_spaces(dop)
-    pb = calderon_path_jump(dop, jump)
+    row, pa, pb = toy_path_row(op, jump, cfg.toy_default_S, cfg.toy_default_ns)
+    rows.append({**row, "note": "default-grid"})
     idem_bar = cfg.tol("discrete_idem", 1e-6)
-    rows.append({"ns": cfg.toy_default_ns, "h": grid.hs,
-                 "path_gap": fro(pa.projector.matrix - pb.matrix),
-                 "idem_spaces": pa.projector.idem_defect,
-                 "idem_jump": pb.idem_defect, "note": "default-grid"})
-    idem_ok = max(pa.projector.idem_defect, pb.idem_defect) <= idem_bar
+    idem_ok = max(pa.idem_defect, pb.idem_defect) <= idem_bar
     ok = slope >= slope_min and gaps[-1] <= gap_tol and idem_ok
     return ok, rows, (f"slope {slope:.2f} (>= {slope_min}), finest gap "
                       f"{gaps[-1]:.3e} (tol {gap_tol:.0e}), default-grid "

@@ -28,7 +28,6 @@ class TestParseConfig:
         cfg, op = parse_config(strip_config_text())
         assert op.geometry == "StripHyperbolic"
         assert op.order == 2
-        assert op.weight_c == 1
         assert op.fibre.kind == "interval"
         assert cfg.ns == 128
         # serialize -> parse again gives the same operator data
@@ -55,12 +54,27 @@ class TestParseConfig:
             parse_config("not json {")
 
     def test_weight_recorded_but_inert(self):
+        # weight_c is validated and then ignored: any integer, or none,
+        # gives the same normal operator
         from cuspcal.fibre import normal_operator
 
-        _, op = parse_config(strip_config_text())
-        assert op.weight_c == 1
-        ode = normal_operator(op, (1.0,))
-        assert ode.coeff_values(0.5)[2][0, 0] == pytest.approx(1.0)
+        doc = json.loads(strip_config_text())
+        assert doc["weight_c"] == 1
+        values = []
+        for weight in (1, 0, 5, None):
+            if weight is None:
+                del doc["weight_c"]
+            else:
+                doc["weight_c"] = weight
+            _, op = parse_config(json.dumps(doc))
+            assert not hasattr(op, "weight_c")
+            values.append(np.stack(normal_operator(op, (1.0,)).coeff_values(0.5)))
+        assert values[0][2][0, 0] == pytest.approx(1.0)
+        for other in values[1:]:
+            np.testing.assert_array_equal(other, values[0])
+        doc["weight_c"] = "1"
+        with pytest.raises(SchemaError, match="weight_c"):
+            parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("idx,field,value",
                              [(0, "k", 2.7), (1, "beta", True), (1, "beta", "2")])

@@ -47,6 +47,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             PhiGrid("StripHyperbolic", S=8.0, ns=64)
 
+    @pytest.mark.parametrize("S,L", [(np.nan, 1.0), (np.inf, 1.0), (6.0, 0.0),
+                                     (6.0, -1.0), (6.0, np.nan)])
+    def test_rejects_non_finite_truncation_and_length(self, S, L):
+        # each used to be accepted; L = 0 assembled non-finite entries
+        with pytest.raises(ValueError):
+            PhiGrid("StripHyperbolic", S=S, ns=16, L=L, nz=16)
+
     def test_doubled_toy_nodes(self):
         g = PhiGrid("HalfLineToy", S=6.0, ns=32).doubled_copy()
         s = g.s_nodes()
@@ -116,7 +123,7 @@ class TestDoubleGeometry:
         dop = double_geometry(grid, discretize(strip_laplacian(), grid),
                               bump=ext.bump)
         # interior block (Dirichlet rows removed) is Hermitian and positive
-        keep = np.setdiff1d(np.arange(dop.n_unknowns), dop.masks["dirichlet"])
+        keep = np.setdiff1d(np.arange(dop.n_unknowns), dop.dirichlet)
         m = dop.matrix.toarray()[np.ix_(keep, keep)]
         assert fro(m - m.conj().T) <= 1e-10 * fro(m)
         assert np.linalg.eigvalsh(m)[0] > 0
@@ -304,21 +311,32 @@ class TestPathAgreement:
             assert fro(sub - expect) <= 1e-3
 
 
+class TestToyPath:
+    @pytest.mark.parametrize("coefficients,dtype", [
+        ({(2, 0, 0): 1.0, (0, 0, 0): 1.0}, np.float64),
+        ({(2, 0, 0): 1.0, (1, 0, 0): 0.3, (0, 0, 0): 1.0}, np.complex128),
+    ])
+    def test_body_factor_dtype(self, coefficients, dtype, monkeypatch):
+        op = ModelOperator(2, 1, 0, Fibre("point"), coefficients, geometry="HalfLineToy")
+        grid = PhiGrid("HalfLineToy", S=6.0, ns=64)
+        dop = double_geometry(grid, discretize(op, grid))
+        seen = recording_splu(monkeypatch)
+        calderon_path_spaces(dop)
+        assert seen == [dtype, dtype]  # one factorization per body
+
+
 class TestShadowSolutions:
     def test_plus_side_dirichlet_kernel_trivial(self):
         # discrete plus-side problem with zero interface and truncation data
         # has no kernel (no discrete shadow solutions)
-        from cuspcal.discrete import _dirichlet_rows
-
         op = halfline_toy(q=1.0)
         grid = PhiGrid("HalfLineToy", S=6.0, ns=128)
         dop = double_geometry(grid, discretize(op, grid))
         nodes = np.arange(128, 257)
-        sub = dop.matrix[nodes][:, nodes]
-        interior = np.ones(nodes.size, dtype=bool)
-        interior[0] = interior[-1] = False
-        msub = _dirichlet_rows(sub, np.flatnonzero(interior))
-        sv = np.linalg.svd(msub.toarray(), compute_uv=False)
+        msub = dop.matrix[nodes][:, nodes].toarray()
+        msub[[0, -1]] = 0.0
+        msub[0, 0] = msub[-1, -1] = 1.0  # Dirichlet rows: interface, truncated end
+        sv = np.linalg.svd(msub, compute_uv=False)
         assert sv[-1] > 1e-6
 
 
@@ -439,6 +457,19 @@ class TestProbes:
         rep = symbol_probe(path, xi=8.0, point=6.0, width=2.0)
         assert rep.error <= 0.2
         assert rep.details["leakage"] <= 0.05
+
+    @pytest.mark.parametrize("probe", ["normal", "symbol"])
+    def test_window_off_grid_raises(self, probe):
+        # the symbol probe used to compare over the whole grid instead
+        op = strip_laplacian()
+        ext = FibreExtension.with_default_bump(1.0)
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=32, L=1.0, nz=32)
+        path = calderon_path_spaces(double_geometry(grid, discretize(op, grid), bump=ext.bump))
+        with pytest.raises(ValueError, match="does not meet the grid"):
+            if probe == "normal":
+                normal_probe(path, ext, 1.0, (49.0, 51.0))
+            else:
+                symbol_probe(path, xi=8.0, point=50.0, width=1.0)
 
     def test_symbol_probe_zero_data(self, strip_path):
         path, _ = strip_path

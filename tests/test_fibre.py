@@ -400,7 +400,7 @@ def test_cusp_domain_variable_coefficients():
          (0, 0, 2): {(0, 0): 1.0, (1, 1): -0.3},
          (0, 0, 1): {(1, 0): 2.0},            # vanishes in the normal family
          (0, 0, 0): {(0, 1): 0.25}},
-        geometry="CuspDomain", weight_c=2)
+        geometry="CuspDomain")
     ode = normal_operator(op, (0.9,))
     assert np.max(np.abs(ode.coeff_values(0.4)[1])) <= 1e-14
     ext = FibreExtension.with_default_bump(1.0)
