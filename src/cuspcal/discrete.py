@@ -7,7 +7,8 @@ derivative is constant-coefficient: x^2 d/dx = -d/ds.
 Two routes to the discrete Calderon projector:
   path A (`calderon_path_spaces`): plus/minus boundary-data spaces of the
     doubled operator, as projector_from_pair (on the strip, one sine mode
-    in s at a time when the operator is s-separable);
+    in s at a time when the operator is s-separable, else a block-
+    tridiagonal sweep in z);
   path B (`calderon_path_jump`, 1-D geometries): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
@@ -15,7 +16,7 @@ Two routes to the discrete Calderon projector:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +33,9 @@ from .errors import (
 from .fibre import Bump, ModelOperator, normal_calderon
 from .linalg import Projector, SubspaceBasis, fro, idempotence_defect, projector_from_pair
 from .symbols import PolyMatrixSymbol, calderon_symbol
+
+
+SWEEP_TOL = 1e-12  # normwise backward error of a line equation of the strip sweep
 
 
 def _central_stencil(der, h):
@@ -61,6 +65,10 @@ class PhiGrid:
             raise ValueError(f"no discrete geometry {self.geometry!r}")
         if not 4 <= self.S < math.inf:
             raise ValueError("truncation S must be finite and >= 4")
+        sizes = {"ns": self.ns} if self.nz is None else {"ns": self.ns, "nz": self.nz}
+        for name, size in sizes.items():
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if self.ns < 16:
             raise ValueError("need >= 16 nodes in s")
         if self.geometry == "StripHyperbolic":
@@ -314,32 +322,15 @@ def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
     jets of the one-sided discrete Dirichlet problems on the doubled grid.
 
     On the strip, an s-separable operator is solved one sine mode in s at a
-    time; every other operator through a sparse LU of each body."""
+    time; every other operator by a block-tridiagonal sweep in z over each
+    body. The 1-D toy takes one sparse LU of each body."""
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
         return _path_spaces_toy(opd, trace_degree, rank_tol)
     if _s_separable(opd.model):
         return _path_spaces_modes(opd, trace_degree, rank_tol)
-    return _path_spaces_lu(opd, trace_degree, rank_tol)
-
-
-def _body_solutions(opd, gidx, interior, data):
-    """Discrete Dirichlet problems on one body of the doubled grid, whose
-    unknowns are `gidx` in the doubled matrix: rows off the mask `interior`
-    become identity rows, and solution c has unit data at body unknown
-    data[c]. One LU of the body, in float64 when it has no imaginary part;
-    yields the solutions 64 columns at a time."""
-    keep = sp.diags(interior.astype(float))
-    mat = (keep @ opd.matrix[gidx][:, gidx] + sp.diags(1.0 - interior)).tocsc()
-    if not np.any(mat.data.imag):
-        mat = sp.csc_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=mat.shape)
-    lu = spla.splu(mat)
-    for start in range(0, data.size, 64):
-        sel = data[start : start + 64]
-        rhs = np.zeros((gidx.size, sel.size), dtype=mat.dtype)
-        rhs[sel, np.arange(sel.size)] = 1.0
-        yield lu.solve(rhs)
+    return _path_spaces_sweep(opd, trace_degree, rank_tol)
 
 
 def _path_from_spans(opd, side_span, layout, rank_tol):
@@ -360,9 +351,17 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
     interior[[0, -1]] = False  # interface and truncated end
     interior = np.repeat(interior, n)
 
-    def side_span(side):  # body nodes ordered from the interface outward
+    def side_span(side):
+        # Dirichlet problem on one body, nodes ordered from the interface
+        # outward: rows off `interior` become identity rows, and solution c
+        # has unit data at interface component c. One LU, in float64 when
+        # the body has no imaginary part.
         gidx = ((ns + side * np.arange(ns + 1))[:, None] * n + np.arange(n)).ravel()
-        u = np.hstack(list(_body_solutions(opd, gidx, interior, np.arange(n))))
+        mat = (sp.diags(interior.astype(float)) @ opd.matrix[gidx][:, gidx]
+               + sp.diags(1.0 - interior)).tocsc()
+        if not np.any(mat.data.imag):
+            mat = sp.csc_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=mat.shape)
+        u = spla.splu(mat).solve(np.eye(gidx.size, n, dtype=mat.dtype))
         jet, _ = one_sided_trace(u.reshape(ns + 1, n, n)[1 : p + 3], h, side, m, p)
         return jet.reshape(m * n, n)
 
@@ -408,25 +407,105 @@ def _jet_rows(u, hz, m, p, side):
     return [lo[0], lo[1], hi[0], hi[1]]
 
 
-def _path_spaces_lu(opd, trace_degree, rank_tol):
-    """Strip path A by a sparse LU of each body."""
+def _path_spaces_sweep(opd, trace_degree, rank_tol):
+    """Strip path A by a block-tridiagonal sweep in z over each body.
+
+    Grouped by z line, the interior-s unknowns of a body satisfy
+    A_j u_{j-1} + B_j u_j + C_j u_{j+1} = 0 for j = 1..nz-1, with data
+    u_0 = g_lo and u_nz = g_hi on the interface lines. A sweep down from the
+    far interface gives u_j = M_j u_{j-1} + N_j g_hi, where K_j = B_j +
+    C_j M_{j+1}, M_j = -K_j^-1 A_j and N_j = -K_j^-1 C_j N_{j+1}. One pass
+    back up carries the 2(ns-1) unit-data solutions line by line and keeps
+    only the lines that the jets read. The largest normwise backward error of
+    a line equation is reported as `certs["line_backward_error"]`.
+    """
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
-    ns, nj = grid.ns, grid.nz + 1
-    ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
-    interior = ((ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)).ravel()
-    lines = np.arange(1, ns) * nj
-    data = np.concatenate([lines, lines + nj - 1])  # data at jl = 0, nj - 1
+    nz, k = grid.nz, p + 2
+    if k > nz:
+        raise ValueError(f"trace degree {p} needs {k} z lines per body, the grid has {nz}")
+    kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
+    errs = []
 
     def side_span(side):
-        gidx = (ii * 2 * grid.nz + _body_lines(grid, side)[jl]).ravel()
-        blocks = []
-        for u in _body_solutions(opd, gidx, interior, data):
-            u = u.reshape(ns + 1, nj, -1)[1:ns].transpose(1, 0, 2)
-            blocks.append(np.concatenate(_jet_rows(u, grid.hz, m, p, side)))
-        return np.hstack(blocks)
+        u, err = _sweep_body(_body_blocks(opd, side), kept, side)
+        errs.append(err)
+        return np.concatenate(_jet_rows(u, grid.hz, m, p, side))
 
-    return _path_from_spans(opd, side_span, layout, rank_tol)
+    path = _path_from_spans(opd, side_span, layout, rank_tol)
+    path.projector = replace(path.projector, certs={"line_backward_error": max(errs)})
+    return path
+
+
+def _body_blocks(opd, side):
+    """Line blocks of one strip body: blocks[j, d, e, i] is the coefficient
+    of the unknown at (body line j, interior s node i) on the one at
+    (line j + d - 1, node i + e - 1). The blocks are tridiagonal in s because
+    every stencil is second order. Float64 when the body is real."""
+    grid = opd.grid
+    n = grid.ns - 1
+    gidx = (np.arange(1, grid.ns) * 2 * grid.nz + _body_lines(grid, side)[:, None]).ravel()
+    sub = opd.matrix[gidx][:, gidx].tocoo()
+    (lr, ir), (lc, ic) = np.divmod(sub.row, n), np.divmod(sub.col, n)
+    vals = sub.data if np.any(sub.data.imag) else sub.data.real
+    blocks = np.zeros((grid.nz + 1, 3, 3, n), dtype=vals.dtype)
+    blocks[lr, lc - lr + 1, ic - ir + 1, ir] = vals
+    return blocks
+
+
+def _tri_mul(d, x):
+    """T @ x for the tridiagonal T whose sub-, main and super-diagonal
+    coefficients of row i are d[0, i], d[1, i], d[2, i]; a zero
+    off-diagonal (no s derivative in the block) costs nothing."""
+    y = d[1][:, None] * x
+    if d[0].any():
+        y[1:] += d[0][1:, None] * x[:-1]
+    if d[2].any():
+        y[:-1] += d[2][:-1, None] * x[1:]
+    return y
+
+
+def _sweep_body(blocks, kept, side):
+    """Unit-data solutions of one body on its lines `kept`, as an array
+    (line, s node, solution); solution c has g_lo = e_c and solution
+    n + c has g_hi = e_c. Also returns the largest normwise backward error
+    |A u_{j-1} + B u_j + C u_{j+1}| / (|A||u_{j-1}| + |B||u_j| + |C||u_{j+1}|)
+    of a line equation, over all the solutions; above SWEEP_TOL, or on a
+    singular K_j, raises SolveFailure."""
+    nz, n = blocks.shape[0] - 1, blocks.shape[-1]
+    eye = np.eye(n, dtype=blocks.dtype)
+    zero = np.zeros_like(eye)
+    steps = np.empty((nz, n, 2 * n), dtype=blocks.dtype)  # [M_j | N_j] at j
+    step = np.hstack([zero, eye])  # u_nz = g_hi
+    for j in range(nz - 1, 0, -1):
+        a, b, c = blocks[j]
+        cs = _tri_mul(c, step)  # [C_j M_{j+1} | C_j N_{j+1}]
+        try:  # inverse and product: faster than a solve with 2n right-hand sides
+            kinv = sla.inv(cs[:, :n] + _tri_mul(b, eye), check_finite=False)
+            step = steps[j] = kinv @ -np.hstack([_tri_mul(a, eye), cs[:, n:]])
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"strip sweep, side {side:+d}, line {j}: {exc}") from None
+    out = np.empty((kept.size, n, 2 * n), dtype=blocks.dtype)
+    lo, mid = None, np.hstack([eye, zero])  # u_0 = g_lo
+    worst = 0.0
+    for j in range(1, nz + 1):
+        out[kept == j - 1] = mid
+        if j < nz:
+            hi = steps[j][:, :n] @ mid
+            hi[:, n:] += steps[j][:, n:]
+        else:
+            hi = np.hstack([zero, eye])
+        if lo is not None:
+            a, b, c = blocks[j - 1]
+            res = fro(_tri_mul(a, lo) + _tri_mul(b, mid) + _tri_mul(c, hi))
+            err = res / (fro(a) * fro(lo) + fro(b) * fro(mid) + fro(c) * fro(hi))
+            if not err <= SWEEP_TOL:
+                raise SolveFailure(f"strip sweep, side {side:+d}, line {j - 1}: "
+                                   f"backward error {err:.3e} exceeds {SWEEP_TOL:.0e}")
+            worst = max(worst, err)
+        lo, mid = mid, hi
+    out[kept == nz] = mid
+    return out, worst
 
 
 def _path_spaces_modes(opd, trace_degree, rank_tol):
@@ -437,7 +516,7 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
     (A0 + 2 cos(pi j / ns) A1) u = 0 on each body: one tridiagonal solve per
     mode and body, and one 4 x 4 projector per mode. Rank and complementarity
     are certified against the largest singular value over all modes, as the
-    LU route certifies the full bases.
+    sweep route certifies the full bases.
     """
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
@@ -485,8 +564,9 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
 
     half = lift(c_modes).reshape(4 * n_int, 4, n_int)
     cmat = (half.real @ smat + 1j * (half.imag @ smat)).reshape(4 * n_int, -1)
-    bp = SubspaceBasis(4 * n_int, lift(up), rank_tol)
-    bm = SubspaceBasis(4 * n_int, lift(um), rank_tol)
+    # S and every mode's singular vectors are orthonormal, so the lifts are
+    bp = SubspaceBasis._orthonormal(lift(up), rank_tol)
+    bm = SubspaceBasis._orthonormal(lift(um), rank_tol)
     proj = Projector(cmat, idempotence_defect(cmat), bp, bm)
     return PathProjection(proj, bp, bm, layout, opd)
 
@@ -690,6 +770,8 @@ def _wave_probe(path, freq, csym, window, eval_fraction):
     per-slot sup relative errors where the bump on `window` exceeds
     `eval_fraction` of its maximum, and the largest response in the slots
     from k on (the leakage), relative to the prediction."""
+    if not 0 < eval_fraction <= 1:
+        raise ValueError(f"eval_fraction must lie in (0, 1], got {eval_fraction!r}")
     n_int = path.layout["n_int"]
     s = path.layout["s_interior"]
     env = Bump(1.0, window)(s)

@@ -77,6 +77,8 @@ class SubspaceBasis:
     matrix; a zero-dimensional basis (k = 0) is allowed.
     """
 
+    _is_orthonormal = False
+
     def __init__(self, ambient_dim, basis, rank_tol=DEFAULT_RANK_TOL):
         self.ambient_dim = int(ambient_dim)
         self.rank_tol = float(rank_tol)
@@ -117,7 +119,17 @@ class SubspaceBasis:
             rank = int(np.sum(s > sv_cut))
         else:
             rank = int(np.sum(s > rank_tol * s[0]))
-        return cls(n, u[:, :rank], rank_tol)
+        return cls._orthonormal(u[:, :rank], rank_tol)
+
+    @classmethod
+    def _orthonormal(cls, basis, rank_tol=DEFAULT_RANK_TOL):
+        """Basis whose columns are orthonormal by construction: its rank
+        certificate holds without an SVD, and `orthonormal()` returns it."""
+        self = cls.__new__(cls)
+        self.ambient_dim, self.rank_tol = basis.shape[0], float(rank_tol)
+        self.basis = np.asarray(basis, dtype=complex)
+        self._is_orthonormal = True
+        return self
 
     @property
     def dim(self):
@@ -125,7 +137,7 @@ class SubspaceBasis:
 
     def orthonormal(self):
         """Orthonormal basis matrix for the same span."""
-        if self.dim == 0:
+        if self.dim == 0 or self._is_orthonormal:
             return self.basis
         q, _ = np.linalg.qr(self.basis)
         return q

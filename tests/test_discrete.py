@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cuspcal import discrete
 from cuspcal._poly import PolyMat1
@@ -18,10 +20,10 @@ from cuspcal.discrete import (
     normal_probe,
     one_sided_trace,
     symbol_probe,
-    _path_spaces_lu,
     _path_spaces_modes,
+    _path_spaces_sweep,
 )
-from cuspcal.errors import GeometryMismatch, NotComplementary, TraceUnstable
+from cuspcal.errors import GeometryMismatch, NotComplementary, SolveFailure, TraceUnstable
 from cuspcal.fibre import Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
 from cuspcal.linalg import fro, idempotence_defect
 
@@ -53,6 +55,20 @@ class TestGrid:
         # each used to be accepted; L = 0 assembled non-finite entries
         with pytest.raises(ValueError):
             PhiGrid("StripHyperbolic", S=S, ns=16, L=L, nz=16)
+
+    @pytest.mark.parametrize("ns,nz", [(16.5, 16), (16.0, 16), (True, 16), ("16", 16),
+                                       (16, 16.0), (16, False), (None, 16)])
+    def test_rejects_non_integer_sizes(self, ns, nz):
+        # ns = 16.5 used to be accepted and fail later with a bare TypeError
+        with pytest.raises(ValueError, match="must be an integer"):
+            PhiGrid("StripHyperbolic", S=6.0, ns=ns, L=1.0, nz=nz)
+        if ns != 16:
+            with pytest.raises(ValueError, match="ns must be an integer"):
+                PhiGrid("HalfLineToy", S=6.0, ns=ns)
+
+    def test_accepts_numpy_integer_sizes(self):
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=np.int64(16), L=1.0, nz=np.int32(16))
+        assert grid.s_nodes().size == 17
 
     def test_doubled_toy_nodes(self):
         g = PhiGrid("HalfLineToy", S=6.0, ns=32).doubled_copy()
@@ -340,12 +356,36 @@ class TestShadowSolutions:
         assert sv[-1] > 1e-6
 
 
-def doubled_strip(coefficients, n):
+def doubled_strip(coefficients, n, nz=None):
     op = ModelOperator(2, 1, 0, Fibre("interval", 1.0), coefficients,
                        geometry="StripHyperbolic")
     ext = FibreExtension.with_default_bump(1.0)
-    grid = PhiGrid("StripHyperbolic", S=6.0, ns=n, L=1.0, nz=n)
+    grid = PhiGrid("StripHyperbolic", S=6.0, ns=n, L=1.0, nz=nz or n)
     return double_geometry(grid, discretize(op, grid), bump=ext.bump)
+
+
+def lu_oracle(dop, trace_degree=None, rank_tol=1e-10):
+    """Strip path A by a complex sparse LU of each whole body, solving for
+    every unknown: the oracle of the sweep and of the mode route."""
+    m, p, layout = discrete._strip_setup(dop, trace_degree)
+    grid = dop.grid
+    ns, nj = grid.ns, grid.nz + 1
+    ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
+    interior = ((ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)).ravel()
+    lines = np.arange(1, ns) * nj
+    data = np.concatenate([lines, lines + nj - 1])  # unit data at jl = 0, then nj - 1
+
+    def side_span(side):
+        gidx = (ii * 2 * grid.nz + discrete._body_lines(grid, side)[jl]).ravel()
+        mat = (sp.diags(interior.astype(float)) @ dop.matrix[gidx][:, gidx]
+               + sp.diags(1.0 - interior)).tocsc()
+        rhs = np.zeros((gidx.size, data.size), dtype=complex)
+        rhs[data, np.arange(data.size)] = 1.0
+        u = spla.splu(mat).solve(rhs)
+        u = u.reshape(ns + 1, nj, -1)[1:ns].transpose(1, 0, 2)
+        return np.concatenate(discrete._jet_rows(u, grid.hz, m, p, side))
+
+    return discrete._path_from_spans(dop, side_span, layout, rank_tol)
 
 
 # s-separable: x-independent coefficients, even powers of x^2 D_x only
@@ -357,6 +397,8 @@ SEPARABLE = {
 NOT_SEPARABLE = {
     "x-dependent": {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (1, 0): 0.5}},
     "odd-k": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 0, 0): 0.2},
+    # x^2 D_x D_z: a 9-point stencil, so the line blocks couple s neighbours
+    "cross": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 0, 1): 0.3},
 }
 
 
@@ -368,6 +410,10 @@ def recording_splu(monkeypatch):
     return seen
 
 
+def relative_gap(a, b):
+    return fro(a.projector.matrix - b.projector.matrix) / fro(b.projector.matrix)
+
+
 class TestStripRoutes:
     @pytest.mark.parametrize("n", (24, 48))
     @pytest.mark.parametrize("name", sorted(SEPARABLE))
@@ -375,37 +421,84 @@ class TestStripRoutes:
         dop = doubled_strip(SEPARABLE[name], n)
         assert bool(np.any(dop.matrix.data.imag)) == (name == "complex")
         modes = _path_spaces_modes(dop, None, 1e-10)
-        lu = _path_spaces_lu(dop, None, 1e-10)
-        c = lu.projector.matrix
-        assert fro(modes.projector.matrix - c) <= 1e-11 * fro(c)
-        assert modes.layout["n_int"] == lu.layout["n_int"] == n - 1
-        np.testing.assert_array_equal(modes.layout["s_interior"], lu.layout["s_interior"])
+        sweep = _path_spaces_sweep(dop, None, 1e-10)
+        assert relative_gap(modes, sweep) <= 1e-11
+        assert relative_gap(modes, lu_oracle(dop)) <= 1e-11
+        assert modes.layout["n_int"] == sweep.layout["n_int"] == n - 1
+        np.testing.assert_array_equal(modes.layout["s_interior"], sweep.layout["s_interior"])
         assert modes.b_plus.dim == modes.b_minus.dim == 2 * (n - 1)
+
+    @pytest.mark.parametrize("name,ns,nz,degree", [
+        ("x-dependent", 24, 24, None), ("odd-k", 24, 24, None), ("cross", 24, 24, None),
+        ("x-dependent", 40, 24, None), ("cross", 24, 40, None),
+        # the jets read 9 of the 16 lines next to each interface: the kept lines overlap
+        ("x-dependent", 16, 16, 7)])
+    def test_sweep_matches_lu_oracle(self, name, ns, nz, degree):
+        dop = doubled_strip(NOT_SEPARABLE[name], ns, nz)
+        sweep = _path_spaces_sweep(dop, degree, 1e-10)
+        assert relative_gap(sweep, lu_oracle(dop, degree)) <= 1e-11
+        assert sweep.b_plus.dim == sweep.b_minus.dim == 2 * (ns - 1)
+
+    def test_sweep_needs_enough_lines(self):
+        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 16)
+        with pytest.raises(ValueError, match="needs 17 z lines per body, the grid has 16"):
+            calderon_path_spaces(dop, trace_degree=15)
 
     @pytest.mark.parametrize("name,dtype", [("x-dependent", np.float64),
                                             ("odd-k", np.complex128)])
     def test_route_guard(self, name, dtype, monkeypatch):
         dop = doubled_strip(NOT_SEPARABLE[name], 24)
         seen = recording_splu(monkeypatch)
+        bodies, body_blocks = [], discrete._body_blocks
+
+        def recording_blocks(*args):
+            blocks = body_blocks(*args)
+            bodies.append(blocks.dtype)
+            return blocks
+
+        monkeypatch.setattr(discrete, "_body_blocks", recording_blocks)
         c = calderon_path_spaces(dop).projector.matrix
-        assert seen == [dtype, dtype]  # one factorization per body
-        lu = _path_spaces_lu(dop, None, 1e-10).projector.matrix
-        np.testing.assert_array_equal(c, lu)
+        assert seen == []  # the strip factors nothing
+        assert bodies == [dtype, dtype]  # one sweep per body
+        sweep = _path_spaces_sweep(dop, None, 1e-10).projector.matrix
+        np.testing.assert_array_equal(c, sweep)
         # the mode formula is wrong for these operators
         forced = _path_spaces_modes(dop, None, 1e-10).projector.matrix
-        assert fro(forced - lu) > 1e-6 * fro(lu)
+        assert fro(forced - sweep) > 1e-6 * fro(sweep)
 
     def test_separable_operator_factors_nothing(self, monkeypatch):
         seen = recording_splu(monkeypatch)
         calderon_path_spaces(doubled_strip(SEPARABLE["laplacian"], 24))
         assert seen == []
 
-    def test_float64_lu_route_certified(self):
+    def test_sweep_certified(self):
         n = 48
         dop = doubled_strip(NOT_SEPARABLE["x-dependent"], n)
-        c = _path_spaces_lu(dop, None, 1e-10).projector.matrix
-        assert idempotence_defect(c) <= 1e-9
-        assert abs(np.trace(c) - 2 * (n - 1)) <= 1e-9
+        proj = calderon_path_spaces(dop).projector
+        assert 0.0 < proj.certs["line_backward_error"] <= discrete.SWEEP_TOL
+        assert idempotence_defect(proj.matrix) <= 1e-9
+        assert abs(np.trace(proj.matrix) - 2 * (n - 1)) <= 1e-9
+
+    def test_singular_line_block_raises(self, monkeypatch):
+        calls, inv = [], discrete.sla.inv
+
+        def singular_at_fifth(a, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise np.linalg.LinAlgError("singular matrix")
+            return inv(a, **kwargs)
+
+        monkeypatch.setattr(discrete, "sla", SimpleNamespace(inv=singular_at_fifth))
+        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 24)
+        # the sweep runs down from line nz - 1 = 23 of the plus body
+        with pytest.raises(SolveFailure, match=r"side \+1, line 19: singular matrix"):
+            calderon_path_spaces(dop)
+
+    def test_backward_error_above_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(discrete, "SWEEP_TOL", 1e-30)
+        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 24)
+        with pytest.raises(SolveFailure, match=r"side \+1, line 1: backward error .* exceeds"):
+            calderon_path_spaces(dop)
 
     @pytest.mark.parametrize("rank_tol,reason", [
         (0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
@@ -415,11 +508,13 @@ class TestStripRoutes:
     def test_certificates_match_lu_route(self, rank_tol, reason):
         dop = doubled_strip(SEPARABLE["laplacian"], 24)
         errs = []
-        for route in (_path_spaces_modes, _path_spaces_lu):
+        for route in (_path_spaces_modes, _path_spaces_sweep, lu_oracle):
             with pytest.raises(NotComplementary, match=reason) as info:
                 route(dop, None, rank_tol)
             errs.append(info.value)
-        assert errs[0].gap == pytest.approx(errs[1].gap, rel=1e-10, abs=0.0)
+        assert str(errs[0]) == str(errs[1])
+        for err in errs[1:]:
+            assert err.gap == pytest.approx(errs[0].gap, rel=1e-10, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +565,22 @@ class TestProbes:
                 normal_probe(path, ext, 1.0, (49.0, 51.0))
             else:
                 symbol_probe(path, xi=8.0, point=50.0, width=1.0)
+
+    @pytest.mark.parametrize("probe", ["normal", "symbol"])
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, np.nan])
+    def test_eval_fraction_range(self, probe, fraction, strip_path):
+        # 1.5 used to select no point and fail inside numpy ("zero-size array")
+        path, ext = strip_path
+        with pytest.raises(ValueError, match=r"eval_fraction must lie in \(0, 1\]"):
+            if probe == "normal":
+                normal_probe(path, ext, 1.0, (6.0, 11.0), eval_fraction=fraction)
+            else:
+                symbol_probe(path, xi=8.0, point=6.0, eval_fraction=fraction)
+
+    def test_eval_fraction_one_accepted(self, strip_path):
+        path, ext = strip_path
+        rep = normal_probe(path, ext, 1.0, (6.0, 11.0), eval_fraction=1.0)
+        assert np.isfinite(rep.error)
 
     def test_symbol_probe_zero_data(self, strip_path):
         path, _ = strip_path

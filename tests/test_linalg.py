@@ -39,6 +39,17 @@ class TestSubspaceBasis:
         b = SubspaceBasis(4, np.zeros((4, 0)))
         assert b.dim == 0
 
+    def test_from_span_is_orthonormal_without_recertification(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        v = random_complex(rng, 8, 3) @ random_complex(rng, 3, 5)  # rank 3
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        b = SubspaceBasis.from_span(v)
+        assert (b.dim, len(calls)) == (3, 1)  # the rank SVD only
+        q = b.orthonormal()
+        assert q is b.basis  # no QR
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(3), atol=1e-14)
+
 
 class TestRieszProjector:
     def test_diagonal_split(self):
