@@ -20,7 +20,6 @@ from .symbols import (
     companion_matrix,
     complementary_symbol,
     dn_symbol,
-    ellipticity_check,
     orthogonalize,
     random_elliptic_symbol,
 )
@@ -43,11 +42,9 @@ from .extension_lab import (
     augment,
     boundary_space,
     complement_in_minus,
-    make_invertible,
     modify_shadow,
     perturb_imag,
     perturb_real,
-    restrict_check,
 )
 from .discrete import (
     GridOperator,

@@ -108,10 +108,8 @@ def read_projector(path):
 @dataclass
 class RunConfig:
     """Numeric parameters of a CLI run; a fixed seed makes output bytes
-    reproducible."""
+    reproducible. Integer fields accept integral floats and hold ints."""
 
-    subcommand: str = "verify"
-    config_path: str | None = None
     out_dir: str = "out"
     seed: int = 12345
     suite: tuple = ()
@@ -125,22 +123,29 @@ class RunConfig:
     tol_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.out_dir, str):
+            raise SchemaError("run.out_dir", "expected a string")
+        if not isinstance(self.tol_overrides, dict):
+            raise SchemaError("run.tol_overrides", "expected an object")
         for name, value in self.tol_overrides.items():
-            if float(value) <= 0:
-                raise SchemaError(f"run.tol.{name}", "tolerances must be > 0")
+            if not (_number(value) and 0 < value < math.inf):
+                raise SchemaError(f"run.tol.{name}", "tolerances must be finite numbers > 0")
         for name in ("tau_min", "tau_max"):
             tau = getattr(self, name)
-            if not isinstance(tau, (int, float)) or not abs(tau) <= MU_CAP:
+            if not _number(tau) or not abs(tau) <= MU_CAP:
                 raise SchemaError(f"run.{name}", f"need a number with |tau| <= MU_CAP = {MU_CAP:g}")
-        if _exact_int(self.ns) is None or self.ns < 64:
-            # the strip and toy discrete runs also use ns // 4 >= 16 nodes
-            raise SchemaError("run.ns", "need an integer >= 64")
-        if _exact_int(self.tau_steps) is None or self.tau_steps < 1:
-            raise SchemaError("run.tau_steps", "need an integer >= 1")
+        # the strip and toy discrete runs use ns // 4 >= 16 nodes in s and
+        # at least the strip grid's 16 nodes in z
+        for name, low in (("seed", 0), ("ns", 64), ("nz", 16), ("tau_steps", 1)):
+            value = _exact_int(getattr(self, name))
+            if value is None or value < low:
+                raise SchemaError(f"run.{name}", f"need an integer >= {low}")
+            setattr(self, name, value)
         if not (_number(self.S) and 4 <= self.S < math.inf):
             raise SchemaError("run.S", "need a finite truncation S >= 4")
-        if not all(_number(xi) and math.isfinite(xi) and xi != 0 for xi in self.xi):
-            raise SchemaError("run.xi", "each xi must be a finite nonzero number")
+        if not (isinstance(self.xi, (tuple, list)) and self.xi and all(
+                _number(xi) and math.isfinite(xi) and xi != 0 for xi in self.xi)):
+            raise SchemaError("run.xi", "need a non-empty list of finite nonzero numbers")
 
 
 def _number(value):
@@ -475,8 +480,6 @@ def main(argv=None):
             cfg, op = load_config(args.config)
         else:
             cfg = RunConfig()
-        cfg.subcommand = args.subcommand
-        cfg.config_path = args.config
         cfg.out_dir = args.out
         cfg.suite = tuple(t for t in getattr(args, "suite", "").split(",") if t)
         for name in ("seed", "ns", "nz", "S", "tau_min", "tau_max", "tau_steps"):
@@ -486,20 +489,20 @@ def main(argv=None):
         if xi is not None:
             cfg.xi = xi
         cfg.tol_overrides.update(overrides)
-        replace(cfg)  # re-validate after the command-line overrides
-        if cfg.subcommand == "verify":
+        cfg = replace(cfg)  # re-validate after the command-line overrides
+        if args.subcommand == "verify":
             status, _ = verify_all(cfg)
             return status
-        if cfg.subcommand == "lab":
+        if args.subcommand == "lab":
             status, _ = cmd_lab(cfg)
             return status
         if op is None:
             raise SchemaError("--config", "this subcommand needs an operator config")
-        if cfg.subcommand == "symbol":
+        if args.subcommand == "symbol":
             cmd_symbol(cfg, op)
-        elif cfg.subcommand == "normal":
+        elif args.subcommand == "normal":
             cmd_normal(cfg, op)
-        elif cfg.subcommand == "discrete":
+        elif args.subcommand == "discrete":
             cmd_discrete(cfg, op)
         return 0
     except SchemaError as exc:

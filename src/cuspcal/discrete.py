@@ -112,10 +112,6 @@ class GridOperator:
     dirichlet: np.ndarray
     model: ModelOperator
 
-    @property
-    def n_unknowns(self):
-        return self.matrix.shape[0]
-
 
 def discretize(op, grid):
     """Second-order finite-difference discretization on the (undoubled) grid.
@@ -345,7 +341,7 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
     m, n = op.order, op.system_size
     if m < 1:
         raise ValueError("path construction needs order >= 1")
-    p = trace_degree if trace_degree is not None else m + 1
+    p = _trace_degree(opd, trace_degree)
     ns, h = opd.grid.ns, opd.grid.hs
     interior = np.ones(ns + 1, dtype=bool)
     interior[[0, -1]] = False  # interface and truncated end
@@ -376,11 +372,26 @@ def _s_separable(op):
                for (k, _, _), pm in op.coefficients.items())
 
 
+def _trace_degree(opd, trace_degree):
+    """Checked extrapolation degree p of the path-A jets (default m + 1): the
+    jets need D^(m-1), so p >= m - 1, and one_sided_trace reads p + 2 layers
+    of each body, which has ns (toy) or nz (strip) of them past the
+    interface."""
+    m = opd.model.order
+    p = m + 1 if trace_degree is None else trace_degree
+    name = "ns" if opd.grid.geometry == "HalfLineToy" else "nz"
+    layers = getattr(opd.grid, name)
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not m - 1 <= p <= layers - 2:
+        raise ValueError(f"trace_degree must be an integer in [{m - 1}, {layers - 2}] "
+                         f"for order {m} on a grid with {name} = {layers}, got {p!r}")
+    return int(p)
+
+
 def _strip_setup(opd, trace_degree):
     m = opd.model.order
     if m != 2:
         raise ValueError("strip path construction is implemented for order 2")
-    p = trace_degree if trace_degree is not None else m + 1
+    p = _trace_degree(opd, trace_degree)
     ns = opd.grid.ns
     layout = {"geometry": "StripHyperbolic", "m": m, "N": 1, "n_int": ns - 1,
               "s_interior": opd.grid.s_nodes()[1:ns], "data_dim": 4 * (ns - 1)}
@@ -422,8 +433,6 @@ def _path_spaces_sweep(opd, trace_degree, rank_tol):
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
     nz, k = grid.nz, p + 2
-    if k > nz:
-        raise ValueError(f"trace degree {p} needs {k} z lines per body, the grid has {nz}")
     kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
     errs = []
 
@@ -589,10 +598,6 @@ class JumpOperator:
                 out[r * n : (r + 1) * n, q * n : (q + 1) * n] = self.blocks[r, q]
         return out
 
-    def entry_orders(self):
-        m = self.order
-        return np.array([[m + 1 - (r + 1) - (q + 1) for q in range(m)] for r in range(m)])
-
 
 def collar_jets(op, order):
     """rho-Taylor jets at 0 of the collar coefficients A_k(rho) of
@@ -698,8 +703,7 @@ def _apply_collar(coeffs, rho, classical_jets):
     return out
 
 
-def calderon_path_jump(opd, jump, pi=None, trace_degree=None,
-                       stability_tol=None):
+def calderon_path_jump(opd, jump):
     """Path B on 1-D geometries: C-hat = gamma (Phat+Pi)^-1 gamma* J.
 
     For each boundary-data basis vector the right-hand side gamma* J U is a
@@ -712,16 +716,13 @@ def calderon_path_jump(opd, jump, pi=None, trace_degree=None,
         raise ValueError("path construction needs the doubled operator")
     op = opd.model
     m, n = op.order, op.system_size
-    p = trace_degree if trace_degree is not None else m + 1
+    p = m + 1
     grid = opd.grid
     h = grid.hs
     i0 = grid.ns
     npts = 2 * grid.ns + 1
-    mat = opd.matrix
-    if pi is not None:
-        mat = (mat + sp.csr_matrix(pi)).tocsr()
     try:
-        lu = spla.splu(mat.tocsc())
+        lu = spla.splu(opd.matrix.tocsc())
     except RuntimeError as exc:
         raise SolveFailure(f"doubled operator factorization failed: {exc}") from exc
     jmat = jump.blocks
@@ -741,8 +742,7 @@ def calderon_path_jump(opd, jump, pi=None, trace_degree=None,
                     )
             sol = lu.solve(rhs).reshape(npts, n)
             layers = sol[i0 + 1 : i0 + 1 + k_layers]
-            jet, stab = one_sided_trace(layers, h, +1, m, p,
-                                        stability_tol=stability_tol)
+            jet, _ = one_sided_trace(layers, h, +1, m, p)
             cols[:, q * n + c] = jet.reshape(m * n)
     defect = idempotence_defect(cols)
     rng = SubspaceBasis.from_span(cols, sv_cut=0.5)
@@ -818,37 +818,21 @@ def normal_probe(path, ext, tau, envelope, eval_fraction=0.5):
                         "envelope": envelope})
 
 
-def symbol_probe(path_or_proj, op=None, xi=None, point=None, width=2.0,
-                 eval_fraction=0.5):
-    """Compare the discrete projector against the interior-symbol projector.
-
-    Strip: localized oscillatory data e^{i xi (s - s0)} * bump at the z = 0
+def symbol_probe(path, xi, point, width=2.0, eval_fraction=0.5):
+    """Compare the strip projector against the interior-symbol projector:
+    localized oscillatory data e^{i xi (s - s0)} * bump at the z = 0
     interface versus the 2x2 frozen-symbol Calderon projector at the probe
-    point. 1-D toy: the whole m N x m N matrix versus the frozen collar
-    symbol projector (the manufactured decaying-solution check).
-    """
-    if isinstance(path_or_proj, PathProjection):
-        path = path_or_proj
-        if path.layout["geometry"] != "StripHyperbolic":
-            raise GeometryMismatch("pass the 1-D projector matrix directly")
-        if xi is None or point is None:
-            raise ValueError("strip probe needs xi and a probe point")
-        xi_snap = _snap_frequency(xi, path.operator.grid.S)
-        csym = calderon_symbol(_frozen_interface_symbol(path.operator.model, 1.0 / point),
-                               (float(xi_snap),)).matrix
-        errs, leak = _wave_probe(path, xi_snap, csym, (point - width, point + width),
-                                 eval_fraction)
-        return ProbeReport(max(errs), tuple(errs),
-                           {"xi": xi, "xi_snapped": xi_snap, "point": point,
-                            "leakage": leak})
-    # 1-D: compare full matrices against the frozen collar symbol projector
-    proj = path_or_proj
-    if op is None:
-        raise ValueError("1-D probe needs the model operator")
-    csym = _frozen_collar_symbol(op)
-    num = fro(proj.matrix - csym.matrix)
-    return ProbeReport(num / max(fro(csym.matrix), 1e-300),
-                       (num,), {"collar": True})
+    point."""
+    if path.layout["geometry"] != "StripHyperbolic":
+        raise GeometryMismatch("symbol_probe runs on the strip geometry")
+    xi_snap = _snap_frequency(xi, path.operator.grid.S)
+    csym = calderon_symbol(_frozen_interface_symbol(path.operator.model, 1.0 / point),
+                           (float(xi_snap),)).matrix
+    errs, leak = _wave_probe(path, xi_snap, csym, (point - width, point + width),
+                             eval_fraction)
+    return ProbeReport(max(errs), tuple(errs),
+                       {"xi": xi, "xi_snapped": xi_snap, "point": point,
+                        "leakage": leak})
 
 
 def _frozen_interface_symbol(op, x0):
@@ -862,11 +846,3 @@ def _frozen_interface_symbol(op, x0):
         coeffs[key] = coeffs.get(key, 0) + val
     return PolyMatrixSymbol(op.order, n, 0, 1, coeffs)
 
-
-def _frozen_collar_symbol(op):
-    """Frozen-coefficient collar projector of a 1-D operator at s = 1."""
-    jets = collar_jets(op, 0)
-    n = op.system_size
-    coeffs = {(k, (), (0,)): jets[k][0] for k in range(op.order + 1)}
-    sym = PolyMatrixSymbol(op.order, n, 0, 1, coeffs)
-    return calderon_symbol(sym, (1.0,))

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     NotComplementary,
-    NotInvertible,
     SideConditionViolated,
     UCPViolated,
 )
@@ -209,58 +208,3 @@ def complement_in_minus(k, bvp, chi, support_tol=1e-8):
         raise NotComplementary("W (+) K-perp is not the whole space",
                                gap=report.gap)
     return w
-
-
-@dataclass(frozen=True)
-class MakeInvertibleResult:
-    T_final: np.ndarray
-    Pi_sh: np.ndarray
-    Pi_comp: np.ndarray
-    min_sv: float
-
-
-def make_invertible(bvp, inv_tol=1e-8, check_tol=1e-8):
-    """Full invertible-extension ledger: shadow modification, minus-side
-    complement, final invertibility certificate.
-
-    Boundary-data preservation is certified in the two stable pieces the
-    construction actually uses: modify_shadow certifies that gamma(ker T)
-    is unchanged, and Pi_comp is certified to vanish on all plus-side rows
-    and columns, so the plus-side restriction of the operator is untouched.
-    """
-    mod = modify_shadow(bvp)
-    t1 = mod.T_mod
-    kernel_vecs = nullspace(t1)
-    if kernel_vecs.shape[1] == 0:
-        pi_comp = np.zeros_like(t1)
-        t_final = t1
-    else:
-        kb = SubspaceBasis.from_span(kernel_vecs)
-        chi = (~bvp.mask_plus).astype(float)
-        w = complement_in_minus(kb, bvp, chi)
-        pi_comp = orth_projector(w, bvp.gram).matrix
-        t_final = t1 + pi_comp
-    s = np.linalg.svd(t_final, compute_uv=False)
-    if s[-1] <= inv_tol * s[0]:
-        raise NotInvertible(
-            f"final operator is singular (sv ratio {s[-1] / s[0]:.3e})")
-    plus = bvp.plus_indices()
-    scale = max(1.0, fro(pi_comp))
-    if (fro(pi_comp[plus, :]) + fro(pi_comp[:, plus])) > check_tol * scale:
-        raise SideConditionViolated(
-            "Pi_comp touches the plus side: the extension is not supported "
-            "in the minus side")
-    return MakeInvertibleResult(t_final, mod.Pi_sh, pi_comp,
-                                float(s[-1]))
-
-
-def restrict_check(op, mask_plus, tol=1e-10):
-    """True iff the plus<->minus coupling blocks vanish below tolerance."""
-    op = as_matrix(op, "op")
-    mask = np.asarray(mask_plus, dtype=bool)
-    plus = np.flatnonzero(mask)
-    minus = np.flatnonzero(~mask)
-    if plus.size == 0 or minus.size == 0:
-        return True
-    off = fro(op[np.ix_(plus, minus)]) + fro(op[np.ix_(minus, plus)])
-    return bool(off <= tol * max(1.0, fro(op)))

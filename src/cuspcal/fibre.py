@@ -98,7 +98,7 @@ class FibreODE:
     """
 
     def __init__(self, order, system_size, interval, coeffs, mu=None,
-                 extra_potential=None, rank_tol=1e-8, label=""):
+                 extra_potential=None, rank_tol=1e-8):
         self.order = int(order)
         self.system_size = int(system_size)
         self.interval = (float(interval[0]), float(interval[1]))
@@ -109,7 +109,6 @@ class FibreODE:
         self.coeffs = list(coeffs)
         self.mu = mu
         self.extra_potential = extra_potential
-        self.label = label
         zs = np.linspace(*self.interval, 33)
         lead = self.coeffs[-1].eval(zs)
         sv = np.linalg.svd(lead, compute_uv=False)
@@ -141,8 +140,7 @@ class FibreODE:
         when present, must be real-valued and is kept."""
         return FibreODE(self.order, self.system_size, self.interval,
                         formal_adjoint(self.coeffs), mu=self.mu,
-                        extra_potential=self.extra_potential,
-                        label=self.label + "*")
+                        extra_potential=self.extra_potential)
 
 
 MU_CAP = 16.0  # exponential growth over the fibre stays within float64
@@ -161,8 +159,7 @@ def normal_operator(op, mu, mu_cap=MU_CAP):
     for (k, alpha, beta), pm in op.coefficients.items():
         w = (tau**k) * (eta**alpha if alpha else 1.0)
         coeffs[beta] = coeffs[beta] + pm.at_x0().scale(w)
-    return FibreODE(op.order, n, (0.0, op.fibre.length), coeffs, mu=(tau, eta),
-                    label=f"N(P)({mu})")
+    return FibreODE(op.order, n, (0.0, op.fibre.length), coeffs, mu=(tau, eta))
 
 
 def _split_mu(op, mu):
@@ -343,8 +340,7 @@ class FibreExtension:
             for b, c in enumerate(base.coeffs)
         ]
         return FibreODE(base.order, base.system_size, (self.length, two_l),
-                        coeffs, mu=base.mu, extra_potential=self.bump,
-                        label=f"N(Phat)({mu})|minus")
+                        coeffs, mu=base.mu, extra_potential=self.bump)
 
 
 def minus_boundary_data_space(ext, op, mu, rank_tol=1e-8):

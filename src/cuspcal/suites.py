@@ -66,18 +66,17 @@ from .symbols import (
 )
 
 
+# 1-D toy path study (c09): convergence grids at TOY_S, idempotence on the
+# default grid
+TOY_S, TOY_GRIDS = 8.0, (256, 512, 1024)
+TOY_DEFAULT_S, TOY_DEFAULT_NS = 6.0, 2048
+# strip probe study (c11)
+STRIP_S, STRIP_GRIDS = 12.0, (64, 128, 256)
+
+
 @dataclass
 class VerifyConfig:
     seed: int = 12345
-    # 1-D toy path study
-    toy_S: float = 8.0
-    toy_grids: tuple = (256, 512, 1024)
-    toy_default_ns: int = 2048
-    toy_default_S: float = 6.0
-    # strip probe study
-    strip_S: float = 12.0
-    strip_grids: tuple = (64, 128, 256)
-    probe_tol: float = 5e-2
     tol_overrides: dict = field(default_factory=dict)
 
     def tol(self, name, default):
@@ -426,12 +425,12 @@ def c09_path_agreement(cfg):
     slope_min = cfg.tol("path_slope", 1.7)
     op = halfline_toy(q=1.0)
     jump = jump_operator(op)
-    rows = [toy_path_row(op, jump, cfg.toy_S, ns)[0] for ns in cfg.toy_grids]
+    rows = [toy_path_row(op, jump, TOY_S, ns)[0] for ns in TOY_GRIDS]
     gaps = [row["path_gap"] for row in rows]
     slope = float(np.polyfit(np.log([row["h"] for row in rows]), np.log(gaps), 1)[0])
     # default-grid idempotence bar for both discrete projectors (reported
     # alongside the asserted convergence figures)
-    row, pa, pb = toy_path_row(op, jump, cfg.toy_default_S, cfg.toy_default_ns)
+    row, pa, pb = toy_path_row(op, jump, TOY_DEFAULT_S, TOY_DEFAULT_NS)
     rows.append({**row, "note": "default-grid"})
     idem_bar = cfg.tol("discrete_idem", 1e-6)
     idem_ok = max(pa.idem_defect, pb.idem_defect) <= idem_bar
@@ -480,12 +479,12 @@ def c10_green_identity(cfg):
 
 def c11_normal_probe(cfg):
     """Strip probe vs the normal family: decreasing trend, final <= 5e-2."""
-    tol = cfg.tol("probe", cfg.probe_tol)
+    tol = cfg.tol("probe", 5e-2)
     op = strip_laplacian()
     ext = FibreExtension.with_default_bump(1.0)
     rows, errs = [], []
-    for n in cfg.strip_grids:
-        grid = PhiGrid("StripHyperbolic", S=cfg.strip_S, ns=n, L=1.0, nz=n)
+    for n in STRIP_GRIDS:
+        grid = PhiGrid("StripHyperbolic", S=STRIP_S, ns=n, L=1.0, nz=n)
         dop = double_geometry(grid, discretize(op, grid), bump=ext.bump)
         path = calderon_path_spaces(dop)
         rep = normal_probe(path, ext, 1.0, (6.0, 11.0))

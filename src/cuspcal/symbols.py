@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsyl
-from scipy.optimize import minimize
 
 from ._poly import block_companion
 from .errors import (GraphConditionFailed, NotInvertible, SolveFailure,
@@ -104,19 +103,6 @@ class PolyMatrixSymbol:
             raise ValueError(f"negative multi-index {key}")
         return int(k), alpha, beta
 
-    @property
-    def covar_dim(self):
-        return 1 + self.base_dim + self.fibre_codim
-
-    def principal_part(self):
-        kept = {
-            (k, a, b): c
-            for (k, a, b), c in self.coefficients.items()
-            if k + sum(a) + sum(b) == self.order
-        }
-        return PolyMatrixSymbol(self.order, self.system_size, self.base_dim,
-                                self.fibre_codim, kept)
-
     def eval(self, tau, xi_prime):
         """sigma(tau, xi') = sum_k tau^k a_k(xi'); an array of tau gives
         (..., N, N)."""
@@ -139,57 +125,6 @@ class PolyMatrixSymbol:
                 w *= t[self.base_dim + j] ** p
             out[k] = out[k] + w * c
         return out
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    elliptic: bool
-    min_sv: float
-    witness: Covector | None
-
-
-def _split_covector(sym, x):
-    b, f1 = sym.base_dim, sym.fibre_codim
-    return Covector(float(x[0]), tuple(x[1 : 1 + b]), tuple(x[1 + b : 1 + b + f1]))
-
-
-def ellipticity_check(sym, samples=128, seed=0, tol=1e-8, polish=8):
-    """Sample the principal part on the unit covector sphere and polish the
-    worst points with a local minimizer of the smallest singular value."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    d = sym.covar_dim
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((samples, d))
-    # include the coordinate axes for determinism on separable symbols
-    pts = np.vstack([pts, np.eye(d), -np.eye(d)])
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-
-    principal = sym.principal_part()
-
-    def min_sv_at(x):
-        x = np.asarray(x, dtype=float)
-        nrm = np.linalg.norm(x)
-        if nrm == 0:
-            return np.inf
-        x = x / nrm
-        cov = _split_covector(sym, x)
-        m = principal.eval(cov.tau, cov)
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-    values = np.array([min_sv_at(p) for p in pts])
-    order = np.argsort(values)
-    best_val = values[order[0]]
-    best_pt = pts[order[0]]
-    for idx in order[:polish]:
-        res = minimize(min_sv_at, pts[idx], method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_pt = res.x / np.linalg.norm(res.x)
-    elliptic = bool(best_val > tol)
-    witness = None if elliptic else _split_covector(sym, best_pt)
-    return EllipticityReport(elliptic, float(best_val), witness)
 
 
 def companion_matrix(sym, xi_prime):

@@ -183,8 +183,19 @@ class TestMain:
         (None, ["symbol", "--xi", "one"]),
         (None, ["symbol", "--tol-override", "probe=small"]),
         (None, ["normal", "--tau-steps", "-1"]),
+        (lambda doc: doc["run"].update(nz=100.5), ["discrete"]),
+        (lambda doc: doc["run"].update(nz="64"), ["discrete"]),
+        (lambda doc: doc["run"].update(seed="abc"), ["verify"]),
+        (lambda doc: doc["run"].update(seed=1.5), ["verify"]),
+        (None, ["verify", "--seed", "-1"]),
+        (lambda doc: doc["run"].update(xi=2.0), ["symbol"]),
+        (None, ["symbol", "--xi", ""]),
+        (lambda doc: doc["run"].update(tol_overrides={"dn": "x"}), ["symbol"]),
+        (lambda doc: doc["run"].update(tol_overrides=[1]), ["symbol"]),
     ], ids=["ns-63", "S-3", "system-size-0", "nan-coefficient", "negative-degree",
-            "xi-0", "xi-not-a-number", "tol-not-a-number", "tau-steps-negative"])
+            "xi-0", "xi-not-a-number", "tol-not-a-number", "tau-steps-negative",
+            "nz-fraction", "nz-string", "seed-string", "seed-fraction", "seed-negative",
+            "xi-scalar", "xi-empty", "tol-string", "tol-list"])
     def test_input_edge_is_input_error(self, tmp_path, capsys, edit, argv):
         doc = json.loads(strip_config_text())
         if edit is not None:

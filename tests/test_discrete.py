@@ -26,6 +26,7 @@ from cuspcal.discrete import (
 from cuspcal.errors import GeometryMismatch, NotComplementary, SolveFailure, TraceUnstable
 from cuspcal.fibre import Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
 from cuspcal.linalg import fro, idempotence_defect
+from cuspcal.symbols import PolyMatrixSymbol, calderon_symbol
 
 
 def halfline_toy(q=1.0):
@@ -139,7 +140,7 @@ class TestDoubleGeometry:
         dop = double_geometry(grid, discretize(strip_laplacian(), grid),
                               bump=ext.bump)
         # interior block (Dirichlet rows removed) is Hermitian and positive
-        keep = np.setdiff1d(np.arange(dop.n_unknowns), dop.dirichlet)
+        keep = np.setdiff1d(np.arange(dop.matrix.shape[0]), dop.dirichlet)
         m = dop.matrix.toarray()[np.ix_(keep, keep)]
         assert fro(m - m.conj().T) <= 1e-10 * fro(m)
         assert np.linalg.eigvalsh(m)[0] > 0
@@ -158,7 +159,6 @@ class TestJumpOperator:
         np.testing.assert_allclose(jump.matrix(),
                                    -1j * np.array([[0.0, 1.0], [1.0, 0.0]]),
                                    atol=1e-14)
-        np.testing.assert_allclose(jump.entry_orders(), [[1, 0], [0, -1]])
 
     def test_first_order(self):
         # collar operator of -(x^2 D_x) + 1 is +D_rho + 1: single jump -i
@@ -402,6 +402,15 @@ NOT_SEPARABLE = {
 }
 
 
+def trace_degree_routes():
+    """(route, doubled operator, grid size in the error) on the smallest grids:
+    16 z lines per strip body, 16 s nodes per toy body."""
+    grid = PhiGrid("HalfLineToy", S=6.0, ns=16)
+    return [("modes", doubled_strip(SEPARABLE["laplacian"], 16), "nz = 16"),
+            ("sweep", doubled_strip(NOT_SEPARABLE["x-dependent"], 16), "nz = 16"),
+            ("toy", double_geometry(grid, discretize(halfline_toy(), grid)), "ns = 16")]
+
+
 def recording_splu(monkeypatch):
     """Route discrete.spla.splu through a recorder of the matrix dtypes."""
     seen, splu = [], discrete.spla.splu
@@ -440,9 +449,19 @@ class TestStripRoutes:
         assert sweep.b_plus.dim == sweep.b_minus.dim == 2 * (ns - 1)
 
     def test_sweep_needs_enough_lines(self):
-        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 16)
-        with pytest.raises(ValueError, match="needs 17 z lines per body, the grid has 16"):
-            calderon_path_spaces(dop, trace_degree=15)
+        for route, dop, size in trace_degree_routes():
+            for degree in (15, 0, -1, 2.0, True, "3"):
+                with pytest.raises(ValueError, match=rf"trace_degree must be an integer in "
+                                                     rf"\[1, 14\] for order 2 on a grid with "
+                                                     rf"{size}, got {degree!r}"):
+                    calderon_path_spaces(dop, trace_degree=degree)
+
+    def test_trace_degree_edges_accepted(self):
+        # p = m - 1 and p + 2 = layers per body are the ends of the range
+        for route, dop, _ in trace_degree_routes():
+            for degree in (1, np.int64(14)):
+                path = calderon_path_spaces(dop, trace_degree=degree)
+                assert path.b_plus.dim == path.b_minus.dim, (route, degree)
 
     @pytest.mark.parametrize("name,dtype", [("x-dependent", np.float64),
                                             ("odd-k", np.complex128)])
@@ -592,8 +611,11 @@ class TestProbes:
         grid = PhiGrid("HalfLineToy", S=6.0, ns=1024)
         dop = double_geometry(grid, discretize(op, grid))
         pa = calderon_path_spaces(dop)
-        rep = symbol_probe(pa.projector, op)
-        assert rep.error <= 1e-3
+        # the frozen-coefficient collar symbol projector at s = 1
+        jets = collar_jets(op, 0)
+        sym = PolyMatrixSymbol(2, 1, 0, 1, {(k, (), (0,)): jets[k][0] for k in range(3)})
+        csym = calderon_symbol(sym, (1.0,)).matrix
+        assert fro(pa.projector.matrix - csym) <= 1e-3 * fro(csym)
 
     def test_normal_probe_anisotropic_operator(self):
         # (x^2 D_x)^2 + 2 D_z^2 + 1/4: separation in s still exact, so the

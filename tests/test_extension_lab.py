@@ -7,18 +7,15 @@ from cuspcal.extension_lab import (
     augment,
     boundary_space,
     complement_in_minus,
-    make_invertible,
     modify_shadow,
     perturb_imag,
     perturb_real,
-    restrict_check,
 )
 from cuspcal.linalg import (
     SubspaceBasis,
     direct_sum_check,
     fro,
     nullspace,
-    orth_projector,
     subspace_distance,
 )
 
@@ -189,81 +186,3 @@ class TestComplementInMinus:
         k = SubspaceBasis(2, np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
             complement_in_minus(k, b, np.array([1.0, 1.0]))
-
-
-class TestMakeInvertible:
-    def test_already_invertible(self):
-        b = simple_bvp(np.diag([1.0, 2.0]), np.array([[1.0, 0.0]]))
-        res = make_invertible(b)
-        assert fro(res.Pi_sh) == 0.0
-        assert fro(res.Pi_comp) == 0.0
-        assert res.min_sv > 0.5
-
-    def test_2x2_ledger_walk(self):
-        # T = 0 on C^2, gamma reads the minus coordinate, minus = coord 2:
-        # shadow = span{e1}; remaining kernel span{e2} is minus-supported,
-        # complemented by W = span{e2}; final operator is the identity
-        b = simple_bvp(np.zeros((2, 2)), np.array([[0.0, 1.0]]),
-                       plus=np.array([True, False]))
-        res = make_invertible(b)
-        np.testing.assert_allclose(res.T_final, np.eye(2), atol=1e-14)
-        assert restrict_check(res.Pi_comp, b.mask_plus)
-
-    def test_2x2_as_written_violates_ucp(self):
-        # with gamma reading the plus coordinate instead, the post-shadow
-        # kernel is plus-supported: the minus-complement hypothesis fails
-        b = simple_bvp(np.zeros((2, 2)), np.array([[1.0, 0.0]]),
-                       plus=np.array([True, False]))
-        with pytest.raises(UCPViolated):
-            make_invertible(b)
-
-    def test_seeded_hermitian_instances(self):
-        for seed in range(100):
-            rng = np.random.default_rng(400 + seed)
-            n = 12
-            plus = np.arange(n) < 6
-            q, _ = np.linalg.qr(random_complex(rng, n, n))
-            # shadow vector supported on the plus side, kernel vector on the
-            # minus side, both inside ker T
-            shadow = np.zeros(n, dtype=complex)
-            shadow[:6] = rng.standard_normal(6)
-            shadow /= np.linalg.norm(shadow)
-            minus_vec = np.zeros(n, dtype=complex)
-            minus_vec[6:] = rng.standard_normal(6)
-            minus_vec -= shadow * (shadow.conj() @ minus_vec)
-            minus_vec /= np.linalg.norm(minus_vec)
-            kernel = np.stack([shadow, minus_vec], axis=1)
-            proj = np.eye(n) - kernel @ kernel.conj().T
-            basis = np.linalg.qr(proj @ random_complex(rng, n, n))[0][:, : n - 2]
-            t = basis @ np.diag(rng.uniform(0.5, 2.0, n - 2)) @ basis.conj().T
-            gamma = random_complex(rng, 3, n)
-            gamma = gamma @ (np.eye(n) - np.outer(shadow, shadow.conj()))
-            b = AbstractBVP(t, gamma, np.eye(n), plus)
-            res = make_invertible(b)
-            assert res.min_sv > 1e-8
-            assert restrict_check(res.Pi_comp, plus)
-            # boundary space preserved exactly across the shadow step and
-            # the plus block untouched by the complement fix
-            d1 = boundary_space(b)
-            d2 = boundary_space(b, T=b.T + res.Pi_sh)
-            assert d1.dim == d2.dim == 1
-            assert subspace_distance(d1, d2) <= 1e-10
-            pp = np.ix_(b.plus_indices(), b.plus_indices())
-            np.testing.assert_allclose(res.T_final[pp],
-                                       (b.T + res.Pi_sh)[pp], atol=1e-14)
-
-
-class TestRestrictCheck:
-    def test_block_diagonal(self):
-        mask = np.array([True, True, False])
-        assert restrict_check(np.diag([1.0, 2.0, 3.0]), mask)
-
-    def test_rank_one_coupling(self):
-        mask = np.array([True, False])
-        assert not restrict_check(np.array([[0.0, 1.0], [0.0, 0.0]]), mask)
-
-    def test_minus_supported_projector(self):
-        mask = np.array([True, False, False])
-        u = SubspaceBasis(3, np.array([[0.0], [1.0], [1.0]]))
-        pi = orth_projector(u, np.eye(3)).matrix
-        assert restrict_check(pi, mask)

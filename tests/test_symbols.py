@@ -17,7 +17,6 @@ from cuspcal.symbols import (
     companion_matrix,
     complementary_symbol,
     dn_symbol,
-    ellipticity_check,
     orthogonalize,
     random_elliptic_symbol,
 )
@@ -61,33 +60,9 @@ class TestPolyMatrixSymbol:
         sym = PolyMatrixSymbol(2, 1, 0, 1, {(2, (), (0,)): 1.0,
                                             (0, (), (0,)): 5.0})
         assert sym.eval(2.0, (1.0,))[0, 0] == pytest.approx(9.0)
-        assert sym.principal_part().eval(2.0, (1.0,))[0, 0] == pytest.approx(4.0)
-
-
-class TestEllipticity:
-    def test_laplacian_elliptic(self):
-        sym = PolyMatrixSymbol(2, 1, 1, 1, {(2, (0,), (0,)): 1.0,
-                                            (0, (2,), (0,)): 1.0,
-                                            (0, (0,), (2,)): 1.0})
-        rep = ellipticity_check(sym, samples=64, seed=0)
-        assert rep.elliptic
-        assert abs(rep.min_sv - 1.0) <= 1e-8
-
-    def test_wave_symbol_not_elliptic(self):
-        sym = PolyMatrixSymbol(2, 1, 0, 1, {(2, (), (0,)): 1.0,
-                                            (0, (), (2,)): -1.0})
-        rep = ellipticity_check(sym, samples=64, seed=0)
-        assert not rep.elliptic
-        w = rep.witness
-        # witness sits on the light cone tau = +-zeta
-        assert abs(abs(w.tau) - abs(w.zeta_prime[0])) <= 1e-4
-
-    def test_cauchy_riemann(self):
-        sym = PolyMatrixSymbol(1, 1, 0, 1, {(1, (), (0,)): 1.0,
-                                            (0, (), (1,)): 1j})
-        rep = ellipticity_check(sym, samples=64, seed=1)
-        assert rep.elliptic
-        assert abs(rep.min_sv - 1.0) <= 1e-8
+        # principal tau-coefficient a_2 and the lower-order a_0
+        coeffs = sym.tau_coefficients((1.0,))
+        assert coeffs[2][0, 0] == 1.0 and coeffs[0][0, 0] == 5.0
 
 
 class TestCompanion:
