@@ -31,7 +31,7 @@ from .discrete import (
 from .errors import CuspcalError, NotComplementary, SchemaError, SolveFailure
 from .fibre import GEOMETRIES, MU_CAP, Fibre, FibreExtension, ModelOperator, normal_calderon
 from .linalg import fro
-from .suites import CRITERIA, VerifyConfig, run_criteria, toy_path_row
+from .suites import CRITERIA, TOLERANCES, VerifyConfig, run_criteria, toy_path_row
 from .symbols import calderon_symbol, dn_from_projector
 
 
@@ -88,11 +88,15 @@ def write_projector(path, matrix, label=""):
     line in row-major order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    m = np.asarray(matrix, dtype=complex)
-    lines = [f"# cuspcal projector {m.shape[0]} {m.shape[1]} {label}".rstrip()]
-    for entry in m.ravel():
-        lines.append(f"{entry.real:.17e} {entry.imag:.17e}")
-    path.write_text("\n".join(lines) + "\n")
+    m = np.ascontiguousarray(matrix, dtype=complex)
+    # one %-format per row over Python floats (re, im interleaved) gives the
+    # bytes of a per-entry f-string in about 2/3 of the time, and the whole
+    # text is never held in memory
+    line = "%.17e %.17e\n" * m.shape[1]
+    with path.open("w") as f:
+        f.write(f"# cuspcal projector {m.shape[0]} {m.shape[1]} {label}".rstrip() + "\n")
+        for row in m.view(float):
+            f.write(line % tuple(row.tolist()))
     return path
 
 
@@ -128,6 +132,9 @@ class RunConfig:
         if not isinstance(self.tol_overrides, dict):
             raise SchemaError("run.tol_overrides", "expected an object")
         for name, value in self.tol_overrides.items():
+            if name not in TOLERANCES:
+                raise SchemaError(f"run.tol.{name}", "unknown tolerance; known: "
+                                  + ", ".join(sorted(TOLERANCES)))
             if not (_number(value) and 0 < value < math.inf):
                 raise SchemaError(f"run.tol.{name}", "tolerances must be finite numbers > 0")
         for name in ("tau_min", "tau_max"):
@@ -449,7 +456,7 @@ def _build_parser():
     for name in ("symbol", "normal", "lab", "discrete", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--out", default="out")
+        p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--ns", type=int, default=None)
         p.add_argument("--nz", type=int, default=None)
@@ -480,7 +487,8 @@ def main(argv=None):
             cfg, op = load_config(args.config)
         else:
             cfg = RunConfig()
-        cfg.out_dir = args.out
+        if args.out is not None:
+            cfg.out_dir = args.out
         cfg.suite = tuple(t for t in getattr(args, "suite", "").split(",") if t)
         for name in ("seed", "ns", "nz", "S", "tau_min", "tau_max", "tau_steps"):
             value = getattr(args, name)

@@ -8,7 +8,8 @@ Two routes to the discrete Calderon projector:
   path A (`calderon_path_spaces`): plus/minus boundary-data spaces of the
     doubled operator, as projector_from_pair (on the strip, one sine mode
     in s at a time when the operator is s-separable, else a block-
-    tridiagonal sweep in z);
+    tridiagonal sweep in z). It runs in the dtype of the bodies, on
+    derivative jets, and applies the D-jet phase to the result;
   path B (`calderon_path_jump`, 1-D geometries): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
@@ -31,7 +32,14 @@ from .errors import (
     TraceUnstable,
 )
 from .fibre import Bump, ModelOperator, normal_calderon
-from .linalg import Projector, SubspaceBasis, fro, idempotence_defect, projector_from_pair
+from .linalg import (
+    Projector,
+    SubspaceBasis,
+    _inexact,
+    fro,
+    idempotence_defect,
+    projector_from_pair,
+)
 from .symbols import PolyMatrixSymbol, calderon_symbol
 
 
@@ -271,11 +279,13 @@ def one_sided_trace(values, h, side, njet, degree, stability_tol=None):
     """Boundary jet by polynomial extrapolation from one side.
 
     `values` holds samples at rho = side*h*(1..K), K >= degree+2 (extra
-    trailing axes allowed). Returns (jet, stability): jet[r] is the D_rho^r
-    value at rho = 0 for r < njet; stability is the relative difference
-    between the degree and degree+1 extrapolations.
+    trailing axes allowed). Returns (jet, stability): jet[r] is the
+    derivative d^r/drho^r at rho = 0 for r < njet, in the dtype of `values`
+    (float64 or complex128; `_dz_jet` turns it into D_rho jets); stability
+    is the relative difference between the degree and degree+1
+    extrapolations.
     """
-    values = np.asarray(values, dtype=complex)
+    values = _inexact(values)
     if values.shape[0] < degree + 2:
         raise ValueError("need degree+2 sample layers for the stability report")
     w1 = _trace_weights(h, side, njet, degree)
@@ -290,21 +300,21 @@ def one_sided_trace(values, h, side, njet, degree, stability_tol=None):
 
 
 def _trace_weights(h, side, njet, degree):
-    """Weights W with jet_r = sum_j W[r, j] * u(side*h*(j+1))."""
+    """Real weights W with d^r/drho^r u(0) ~ sum_j W[r, j] * u(side*h*(j+1))."""
     nodes = np.arange(1, degree + 2, dtype=float)
     v = np.vander(nodes, degree + 1, increasing=True)
     vinv = np.linalg.inv(v)
-    w = np.zeros((njet, degree + 1), dtype=complex)
-    for r in range(njet):
-        if r > degree:
-            continue
-        w[r] = vinv[r] * math.factorial(r) / (side * h) ** r * ipow(-r)
+    w = np.zeros((njet, degree + 1))
+    for r in range(min(njet, degree + 1)):
+        w[r] = vinv[r] * math.factorial(r) / (side * h) ** r
     return w
 
 
 @dataclass
 class PathProjection:
-    """Path-A result: the discrete projector and its boundary-data spaces."""
+    """Path-A result: the discrete projector and its boundary-data spaces.
+    `projector.certs["trace_stability"]` is the largest stability report of
+    the one-sided traces of the body solutions."""
 
     projector: Projector
     b_plus: SubspaceBasis
@@ -330,10 +340,38 @@ def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
 
 
 def _path_from_spans(opd, side_span, layout, rank_tol):
-    """Path-A projector from the spanning data columns of each body."""
-    bp = SubspaceBasis.from_span(side_span(+1), rank_tol=rank_tol)
-    bm = SubspaceBasis.from_span(side_span(-1), rank_tol=rank_tol)
-    return PathProjection(projector_from_pair(bp, bm), bp, bm, layout, opd)
+    """Path-A projector from the spanning data columns of each body.
+
+    side_span(side) returns the columns as derivative jets in the dtype of
+    the body, and the body's certificates (name -> value); the projector
+    reports the larger value of the two bodies."""
+    bases, certs = [], {}
+    for side in (+1, -1):
+        span, side_certs = side_span(side)
+        bases.append(SubspaceBasis.from_span(span, rank_tol=rank_tol))
+        for name, value in side_certs.items():
+            certs[name] = max(value, certs.get(name, value))
+    return _dz_phase(replace(projector_from_pair(*bases), certs=certs), layout, opd)
+
+
+def _dz_phase(proj, layout, opd):
+    """Path-A result for D-jet data from the projector C of derivative-jet
+    data: Phi C Phi* with bases Phi Q, where Phi = diag((-i)^r) and r is the
+    derivative order of each data row. Phi is a unitary diagonal, so the
+    ranks, the gap and the idempotence defect of C certify the result."""
+    strip = layout["geometry"] == "StripHyperbolic"
+    orders = np.repeat(np.arange(layout["m"]), layout["n_int"] if strip else layout["N"])
+    if strip:
+        orders = np.tile(orders, 2)  # (val, D_z) at z = 0, then at z = L
+    phase = np.array([ipow(-r) for r in range(layout["m"])])[orders]
+
+    def rotate(basis):
+        return SubspaceBasis._orthonormal(phase[:, None] * basis.orthonormal(), basis.rank_tol)
+
+    bp, bm = rotate(proj.range_basis), rotate(proj.kernel_basis)
+    cmat = np.outer(phase, phase.conj()) * proj.matrix
+    return PathProjection(replace(proj, matrix=cmat, range_basis=bp, kernel_basis=bm),
+                          bp, bm, layout, opd)
 
 
 def _path_spaces_toy(opd, trace_degree, rank_tol):
@@ -358,8 +396,8 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
         if not np.any(mat.data.imag):
             mat = sp.csc_matrix((mat.data.real.copy(), mat.indices, mat.indptr), shape=mat.shape)
         u = spla.splu(mat).solve(np.eye(gidx.size, n, dtype=mat.dtype))
-        jet, _ = one_sided_trace(u.reshape(ns + 1, n, n)[1 : p + 3], h, side, m, p)
-        return jet.reshape(m * n, n)
+        jet, stability = one_sided_trace(u.reshape(ns + 1, n, n)[1 : p + 3], h, side, m, p)
+        return jet.reshape(m * n, n), {"trace_stability": stability}
 
     layout = {"geometry": "HalfLineToy", "m": m, "N": n, "data_dim": m * n}
     return _path_from_spans(opd, side_span, layout, rank_tol)
@@ -405,17 +443,18 @@ def _body_lines(grid, side):
 
 
 def _jet_rows(u, hz, m, p, side):
-    """Data rows (val@0, Dz@0, val@L, Dz@L) of the boundary jets of body
-    solutions u, whose first axis runs over the body's z lines. The line
+    """Data rows (val@0, d_z@0, val@L, d_z@L) of the boundary jets of body
+    solutions u, whose first axis runs over the body's z lines, in the dtype
+    of u; and the larger trace stability of the two interfaces. The line
     index increases with global z on both bodies, so the jet at the lower
     interface is one-sided from above (+) and at the upper one from below
-    (-), in the global D_z convention."""
+    (-), in the global z direction."""
     k_layers = p + 2
-    jet_a, _ = one_sided_trace(u[1 : 1 + k_layers], hz, +1, m, p)
-    jet_b, _ = one_sided_trace(u[-2 : -2 - k_layers : -1], hz, -1, m, p)
+    jet_a, stab_a = one_sided_trace(u[1 : 1 + k_layers], hz, +1, m, p)
+    jet_b, stab_b = one_sided_trace(u[-2 : -2 - k_layers : -1], hz, -1, m, p)
     # minus body: its first line is z = L, its last z = 2L ~ 0
     lo, hi = (jet_a, jet_b) if side > 0 else (jet_b, jet_a)
-    return [lo[0], lo[1], hi[0], hi[1]]
+    return [lo[0], lo[1], hi[0], hi[1]], max(stab_a, stab_b)
 
 
 def _path_spaces_sweep(opd, trace_degree, rank_tol):
@@ -434,16 +473,13 @@ def _path_spaces_sweep(opd, trace_degree, rank_tol):
     grid = opd.grid
     nz, k = grid.nz, p + 2
     kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
-    errs = []
 
     def side_span(side):
         u, err = _sweep_body(_body_blocks(opd, side), kept, side)
-        errs.append(err)
-        return np.concatenate(_jet_rows(u, grid.hz, m, p, side))
+        rows, stability = _jet_rows(u, grid.hz, m, p, side)
+        return np.concatenate(rows), {"line_backward_error": err, "trace_stability": stability}
 
-    path = _path_from_spans(opd, side_span, layout, rank_tol)
-    path.projector = replace(path.projector, certs={"line_backward_error": max(errs)})
-    return path
+    return _path_from_spans(opd, side_span, layout, rank_tol)
 
 
 def _body_blocks(opd, side):
@@ -552,11 +588,11 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
         u[0, :, 0] = u[-1, :, 1] = 1.0
         for j, c in enumerate(twocos):
             u[1:-1, j] = sla.solve_banded((1, 1), band0 + c * band1, rhs0 + c * rhs1)
-        q = np.stack(_jet_rows(u, grid.hz, m, p, side), axis=1)  # (mode, 4, 2)
-        basis, sv, _ = np.linalg.svd(q, full_matrices=False)
-        return basis, int(np.sum(sv > rank_tol * sv.max()))
+        rows, stability = _jet_rows(u, grid.hz, m, p, side)
+        basis, sv, _ = np.linalg.svd(np.stack(rows, axis=1), full_matrices=False)  # (mode, 4, 2)
+        return basis, int(np.sum(sv > rank_tol * sv.max())), stability
 
-    (up, r), (um, k) = side_span(+1), side_span(-1)
+    (up, r, stab_p), (um, k, stab_m) = side_span(+1), side_span(-1)
     if r + k != 4 * n_int:
         raise NotComplementary(
             f"range dim {r} + kernel dim {k} != ambient dim {4 * n_int}", gap=0.0)
@@ -571,13 +607,13 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
     def lift(blocks):  # (mode, 4, c) -> (I_4 x S) blockdiag(blocks)
         return np.einsum("ij,jrc->ricj", smat, blocks).reshape(4 * n_int, -1)
 
-    half = lift(c_modes).reshape(4 * n_int, 4, n_int)
-    cmat = (half.real @ smat + 1j * (half.imag @ smat)).reshape(4 * n_int, -1)
+    cmat = (lift(c_modes).reshape(4 * n_int, 4, n_int) @ smat).reshape(4 * n_int, -1)
     # S and every mode's singular vectors are orthonormal, so the lifts are
     bp = SubspaceBasis._orthonormal(lift(up), rank_tol)
     bm = SubspaceBasis._orthonormal(lift(um), rank_tol)
-    proj = Projector(cmat, idempotence_defect(cmat), bp, bm)
-    return PathProjection(proj, bp, bm, layout, opd)
+    proj = Projector(cmat, idempotence_defect(cmat), bp, bm,
+                     {"trace_stability": max(stab_p, stab_m)})
+    return _dz_phase(proj, layout, opd)
 
 
 @dataclass(frozen=True)
@@ -689,10 +725,10 @@ def green_identity_defect(coeffs, jump, u_fn, phi_fn, rho_max, panels=48, quad_o
 
 
 def _dz_jet(classical_jets):
-    """Convert classical derivative jets to D_rho jets."""
+    """Convert classical derivative jets (first axis: order) to D_rho jets."""
     order = classical_jets.shape[0]
     conv = np.array([ipow(-j) for j in range(order)])
-    return classical_jets * conv[:, None]
+    return classical_jets * conv.reshape((order,) + (1,) * (classical_jets.ndim - 1))
 
 
 def _apply_collar(coeffs, rho, classical_jets):
@@ -743,7 +779,7 @@ def calderon_path_jump(opd, jump):
             sol = lu.solve(rhs).reshape(npts, n)
             layers = sol[i0 + 1 : i0 + 1 + k_layers]
             jet, _ = one_sided_trace(layers, h, +1, m, p)
-            cols[:, q * n + c] = jet.reshape(m * n)
+            cols[:, q * n + c] = _dz_jet(jet).reshape(m * n)
     defect = idempotence_defect(cols)
     rng = SubspaceBasis.from_span(cols, sv_cut=0.5)
     ker = SubspaceBasis.from_span(np.eye(m * n) - cols, sv_cut=0.5)

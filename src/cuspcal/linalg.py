@@ -1,5 +1,8 @@
-"""Dense complex linear algebra primitives: Riesz contour projectors and
-subspace operations.
+"""Dense linear algebra primitives: Riesz contour projectors and subspace
+operations.
+
+The subspace operations compute in the dtype they are given: a real operand
+stays float64, a complex one complex128. Riesz projectors are complex.
 
 All unqualified norms are Frobenius norms; tolerances are relative to the
 Frobenius norm of the operand.
@@ -32,13 +35,19 @@ def as_matrix(a, name="matrix"):
     return m
 
 
+def _inexact(a):
+    """`a` as float64, or as complex128 when its dtype is complex."""
+    a = np.asarray(a)
+    return a if a.dtype.char in "dD" else a.astype(np.result_type(a.dtype, np.float64))
+
+
 def fro(a):
     return float(np.linalg.norm(a))
 
 
 def idempotence_defect(c):
     """|C^2 - C| relative to max(1, |C|)."""
-    c = np.asarray(c, dtype=complex)
+    c = _inexact(c)
     return fro(c @ c - c) / max(1.0, fro(c))
 
 
@@ -71,7 +80,8 @@ def nullspace(a, rtol=1e-10):
 
 
 class SubspaceBasis:
-    """Column basis of a subspace of C^ambient_dim with a rank certificate.
+    """Column basis of a subspace of C^ambient_dim (of R^ambient_dim for a
+    real basis) with a rank certificate.
 
     The certificate is smallest_sv > rank_tol * largest_sv of the basis
     matrix; a zero-dimensional basis (k = 0) is allowed.
@@ -82,7 +92,7 @@ class SubspaceBasis:
     def __init__(self, ambient_dim, basis, rank_tol=DEFAULT_RANK_TOL):
         self.ambient_dim = int(ambient_dim)
         self.rank_tol = float(rank_tol)
-        b = np.asarray(basis, dtype=complex)
+        b = _inexact(basis)
         if b.size == 0:
             b = b.reshape(self.ambient_dim, 0)
         if b.ndim == 1:
@@ -108,12 +118,12 @@ class SubspaceBasis:
         Rank is determined by sv > rank_tol * sv_max, or by the absolute
         threshold sv_cut when given.
         """
-        v = np.asarray(vectors, dtype=complex)
+        v = _inexact(vectors)
         if v.ndim == 1:
             v = v[:, None]
         n = v.shape[0]
         if v.shape[1] == 0 or not np.any(v):
-            return cls(n, np.zeros((n, 0)), rank_tol)
+            return cls(n, np.zeros((n, 0), dtype=v.dtype), rank_tol)
         u, s, _ = np.linalg.svd(v, full_matrices=False)
         if sv_cut is not None:
             rank = int(np.sum(s > sv_cut))
@@ -127,7 +137,7 @@ class SubspaceBasis:
         certificate holds without an SVD, and `orthonormal()` returns it."""
         self = cls.__new__(cls)
         self.ambient_dim, self.rank_tol = basis.shape[0], float(rank_tol)
-        self.basis = np.asarray(basis, dtype=complex)
+        self.basis = _inexact(basis)
         self._is_orthonormal = True
         return self
 
@@ -148,7 +158,7 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class Projector:
-    """Square complex matrix with a certified idempotence defect; `certs`
+    """Square matrix with a certified idempotence defect; `certs`
     holds the further certificates of its construction (name -> value)."""
 
     matrix: np.ndarray
@@ -210,7 +220,8 @@ def direct_sum_check(u, v, tol=DEFAULT_RANK_TOL):
 
 
 def projector_from_pair(range_basis, kernel_basis, tol=None):
-    """Projector with the given range and kernel: [R|K] diag(I,0) [R|K]^-1."""
+    """Projector with the given range and kernel: [R|K] diag(I,0) [R|K]^-1,
+    real when both bases are."""
     if range_basis.ambient_dim != kernel_basis.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = range_basis.ambient_dim
@@ -221,10 +232,11 @@ def projector_from_pair(range_basis, kernel_basis, tol=None):
         )
     if tol is None:
         tol = max(range_basis.rank_tol, kernel_basis.rank_tol)
+    dtype = np.result_type(range_basis.basis, kernel_basis.basis)
     if r == 0:
-        return Projector(np.zeros((n, n), dtype=complex), 0.0, range_basis, kernel_basis)
+        return Projector(np.zeros((n, n), dtype=dtype), 0.0, range_basis, kernel_basis)
     if k == 0:
-        return Projector(np.eye(n, dtype=complex), 0.0, range_basis, kernel_basis)
+        return Projector(np.eye(n, dtype=dtype), 0.0, range_basis, kernel_basis)
     qr_ = range_basis.orthonormal()
     qk = kernel_basis.orthonormal()
     m = np.hstack([qr_, qk])
@@ -233,7 +245,7 @@ def projector_from_pair(range_basis, kernel_basis, tol=None):
         raise NotComplementary(
             "concatenated range/kernel basis is numerically singular", gap=float(s[-1])
         )
-    minv = np.linalg.solve(m, np.eye(n, dtype=complex))
+    minv = np.linalg.solve(m, np.eye(n, dtype=dtype))
     c = qr_ @ minv[:r]
     return Projector(c, idempotence_defect(c), range_basis, kernel_basis)
 

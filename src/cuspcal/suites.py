@@ -74,13 +74,35 @@ TOY_DEFAULT_S, TOY_DEFAULT_NS = 6.0, 2048
 STRIP_S, STRIP_GRIDS = 12.0, (64, 128, 256)
 
 
+# the tolerances of the criteria by name, with their defaults; a run may
+# override any of them (`--tol-override NAME=VALUE`, `run.tol_overrides`)
+TOLERANCES = {
+    "dn": 1e-10,
+    "calderon_closed": 1e-10,
+    "calderon_oracle": 1e-8,
+    "complementarity": 1e-9,
+    "orthogonalize": 1e-9,
+    "proj_inversion_margin": 1e-8,
+    "s4_algebra": 1e-10,
+    "normal_space": 1e-8,
+    "normal_idem": 1e-8,
+    "normal_gap": 0.05,
+    "path_gap": 1e-5,
+    "path_slope": 1.7,
+    "discrete_idem": 1e-6,
+    "green_identity": 1e-6,
+    "probe": 5e-2,
+    "trace_rate": 2.0,
+}
+
+
 @dataclass
 class VerifyConfig:
     seed: int = 12345
     tol_overrides: dict = field(default_factory=dict)
 
-    def tol(self, name, default):
-        return float(self.tol_overrides.get(name, default))
+    def tol(self, name):
+        return float(self.tol_overrides.get(name, TOLERANCES[name]))
 
 
 @dataclass
@@ -125,7 +147,7 @@ def halfline_toy(q=1.0):
 
 def c01_dn_symbol(cfg):
     """DN symbol of the Laplacian equals |xi'|."""
-    tol = cfg.tol("dn", 1e-10)
+    tol = cfg.tol("dn")
     rng = np.random.default_rng(cfg.seed + 1)
     rows, worst = [], 0.0
     for i in range(50):
@@ -145,8 +167,8 @@ def c01_dn_symbol(cfg):
 
 def c02_calderon_closed_form(cfg):
     """Calderon symbol of tau^2+s^2 vs the closed form and the root oracle."""
-    tol_closed = cfg.tol("calderon_closed", 1e-10)
-    tol_oracle = cfg.tol("calderon_oracle", 1e-8)
+    tol_closed = cfg.tol("calderon_closed")
+    tol_oracle = cfg.tol("calderon_oracle")
     rows, worst_c, worst_o = [], 0.0, 0.0
     for s in (0.25, 1.0, 4.0):
         sym = _laplace_symbol(0, 1)
@@ -166,7 +188,7 @@ def c02_calderon_closed_form(cfg):
 
 def c03_complementarity(cfg):
     """C+ + C- = I for 200 seeded random elliptic symbols."""
-    tol = cfg.tol("complementarity", 1e-9)
+    tol = cfg.tol("complementarity")
     rows, worst = [], 0.0
     specs = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3)]
     rng = np.random.default_rng(cfg.seed + 3)
@@ -202,7 +224,7 @@ def _random_projector(rng, n):
 
 def c04_orthogonalize(cfg):
     """C_o = C (I + C - C*)^-1: idempotent, gram-self-adjoint, range-equal."""
-    tol = cfg.tol("orthogonalize", 1e-9)
+    tol = cfg.tol("orthogonalize")
     rows, worst = [], 0.0
     for i in range(100):
         rng = np.random.default_rng(cfg.seed + 400 + i)
@@ -225,7 +247,7 @@ def c04_orthogonalize(cfg):
 
 def c05_proj_inversion(cfg):
     """Both directions of the projection-perturbation lemma on 500 instances."""
-    margin = cfg.tol("proj_inversion_margin", 1e-8)
+    margin = cfg.tol("proj_inversion_margin")
     rows = []
     mis = 0
     for i in range(500):
@@ -292,7 +314,7 @@ def _seeded_bvp(rng, n=10, d=3, shadow_dim=2, data_dim_kernel=2):
 
 def c06_s4_algebra(cfg):
     """Augmentation, modification and minus-complement suites."""
-    tol = cfg.tol("s4_algebra", 1e-10)
+    tol = cfg.tol("s4_algebra")
     rows, worst = [], 0.0
     for i in range(100):
         rng = np.random.default_rng(cfg.seed + 600 + i)
@@ -334,9 +356,9 @@ def c06_s4_algebra(cfg):
 
 def c07_normal_closed_forms(cfg):
     """Strip normal family: cosh/sinh data spaces, projector, bump behavior."""
-    tol_space = cfg.tol("normal_space", 1e-8)
-    tol_idem = cfg.tol("normal_idem", 1e-8)
-    gap_min = cfg.tol("normal_gap", 0.05)
+    tol_space = cfg.tol("normal_space")
+    tol_idem = cfg.tol("normal_idem")
+    gap_min = cfg.tol("normal_gap")
     op = strip_laplacian()
     ext = FibreExtension.with_default_bump(1.0)
     rows, ok = [], True
@@ -421,8 +443,8 @@ def toy_path_row(op, jump, S, ns):
 
 def c09_path_agreement(cfg):
     """1-D two-path agreement: slope >= 1.7, finest gap <= 1e-5."""
-    gap_tol = cfg.tol("path_gap", 1e-5)
-    slope_min = cfg.tol("path_slope", 1.7)
+    gap_tol = cfg.tol("path_gap")
+    slope_min = cfg.tol("path_slope")
     op = halfline_toy(q=1.0)
     jump = jump_operator(op)
     rows = [toy_path_row(op, jump, TOY_S, ns)[0] for ns in TOY_GRIDS]
@@ -432,7 +454,7 @@ def c09_path_agreement(cfg):
     # alongside the asserted convergence figures)
     row, pa, pb = toy_path_row(op, jump, TOY_DEFAULT_S, TOY_DEFAULT_NS)
     rows.append({**row, "note": "default-grid"})
-    idem_bar = cfg.tol("discrete_idem", 1e-6)
+    idem_bar = cfg.tol("discrete_idem")
     idem_ok = max(pa.idem_defect, pb.idem_defect) <= idem_bar
     ok = slope >= slope_min and gaps[-1] <= gap_tol and idem_ok
     return ok, rows, (f"slope {slope:.2f} (>= {slope_min}), finest gap "
@@ -455,7 +477,7 @@ def _gaussian_test_fn(rng, decay=1.5):
 
 def c10_green_identity(cfg):
     """Jump-operator Green-identity oracle on 20 seeded smooth pairs."""
-    tol = cfg.tol("green_identity", 1e-6)
+    tol = cfg.tol("green_identity")
     rows, worst = [], 0.0
     for i in range(20):
         rng = np.random.default_rng(cfg.seed + 1000 + i)
@@ -479,7 +501,7 @@ def c10_green_identity(cfg):
 
 def c11_normal_probe(cfg):
     """Strip probe vs the normal family: decreasing trend, final <= 5e-2."""
-    tol = cfg.tol("probe", 5e-2)
+    tol = cfg.tol("probe")
     op = strip_laplacian()
     ext = FibreExtension.with_default_bump(1.0)
     rows, errs = [], []
@@ -501,7 +523,7 @@ def c11_normal_probe(cfg):
 def c12_transmission(cfg):
     """One-sided trace stability: h^m decay on smooth data, TraceUnstable on
     a manufactured interface jump."""
-    rate_min = cfg.tol("trace_rate", 2.0)
+    rate_min = cfg.tol("trace_rate")
     rows, stabs, hs = [], [], []
     m, p = 2, 3
     for ns in (64, 128, 256):

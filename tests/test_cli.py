@@ -15,6 +15,7 @@ from cuspcal.cli import (
 )
 from cuspcal.errors import SchemaError
 from cuspcal.fibre import FibreExtension
+from cuspcal.suites import TOLERANCES, VerifyConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -106,6 +107,14 @@ class TestParseConfig:
         with pytest.raises(SchemaError):
             RunConfig(tol_overrides={"probe": -1.0})
 
+    def test_tolerance_names_checked(self):
+        with pytest.raises(SchemaError, match=r"run\.tol\.no_such_tol: unknown tolerance"):
+            RunConfig(tol_overrides={"no_such_tol": 1.0})
+        for name, default in TOLERANCES.items():
+            assert RunConfig(tol_overrides={name: default}).tol_overrides == {name: default}
+            assert VerifyConfig().tol(name) == default
+            assert VerifyConfig(tol_overrides={name: 0.5}).tol(name) == 0.5
+
 
 class TestArtifacts:
     def test_projector_roundtrip(self, tmp_path):
@@ -114,6 +123,20 @@ class TestArtifacts:
         back = read_projector(path)
         np.testing.assert_allclose(back, m)
         assert path.read_text().startswith("# cuspcal projector 2 2")
+
+    def test_projector_bytes_match_per_entry_format(self, tmp_path):
+        tiny = np.finfo(float).smallest_subnormal
+        vals = [0.0, -0.0, tiny, -tiny, 3 * tiny, -2.2250738585072e-308, 1e300, -1e300,
+                1e-300, -1e-300, -2.5, 1.0 / 3.0, -np.pi, 7.0]
+        m = np.empty((len(vals), len(vals)), dtype=complex)
+        m.real, m.imag = np.meshgrid(vals, vals[::-1])
+        for matrix in (m, m.T, m.real, m[:3, :0]):
+            # the per-entry f-string format that the writer replaced
+            c = np.asarray(matrix, dtype=complex)
+            lines = [f"# cuspcal projector {c.shape[0]} {c.shape[1]} lbl"]
+            lines += [f"{e.real:.17e} {e.imag:.17e}" for e in c.ravel()]
+            path = write_projector(tmp_path / "p.txt", matrix, "lbl")
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_csv_build_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", [{"a": 1, "b": 2.5}])
@@ -192,10 +215,13 @@ class TestMain:
         (None, ["symbol", "--xi", ""]),
         (lambda doc: doc["run"].update(tol_overrides={"dn": "x"}), ["symbol"]),
         (lambda doc: doc["run"].update(tol_overrides=[1]), ["symbol"]),
+        (None, ["symbol", "--tol-override", "no_such_tol=1"]),
+        (lambda doc: doc["run"].update(tol_overrides={"no_such_tol": 1.0}), ["verify"]),
     ], ids=["ns-63", "S-3", "system-size-0", "nan-coefficient", "negative-degree",
             "xi-0", "xi-not-a-number", "tol-not-a-number", "tau-steps-negative",
             "nz-fraction", "nz-string", "seed-string", "seed-fraction", "seed-negative",
-            "xi-scalar", "xi-empty", "tol-string", "tol-list"])
+            "xi-scalar", "xi-empty", "tol-string", "tol-list", "tol-unknown-flag",
+            "tol-unknown-config"])
     def test_input_edge_is_input_error(self, tmp_path, capsys, edit, argv):
         doc = json.loads(strip_config_text())
         if edit is not None:
@@ -207,6 +233,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_config_out_dir_unless_flag(self, tmp_path):
+        doc = json.loads(strip_config_text())
+        doc["run"]["out_dir"] = str(tmp_path / "from_config")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["symbol", "--config", str(path), "--xi", "1"]) == 0
+        assert (tmp_path / "from_config" / "symbol.csv").exists()
+        (tmp_path / "from_config" / "symbol.csv").unlink()
+        assert main(["symbol", "--config", str(path), "--xi", "1",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "flag" / "symbol.csv").exists()
+        assert not (tmp_path / "from_config" / "symbol.csv").exists()
 
     def test_tau_beyond_mu_cap_is_input_error(self, tmp_path, capsys):
         status = main(["normal", "--config", str(CONFIG_DIR / "strip_laplacian.json"),

@@ -25,7 +25,7 @@ from cuspcal.discrete import (
 )
 from cuspcal.errors import GeometryMismatch, NotComplementary, SolveFailure, TraceUnstable
 from cuspcal.fibre import Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
-from cuspcal.linalg import fro, idempotence_defect
+from cuspcal.linalg import SubspaceBasis, fro, idempotence_defect
 from cuspcal.symbols import PolyMatrixSymbol, calderon_symbol
 
 
@@ -218,10 +218,17 @@ class TestOneSidedTrace:
         rho = h * np.arange(1, 6)
         vals = 2.0 + 3.0 * rho + 0.5 * rho**2
         jet, stab = one_sided_trace(vals, h, +1, 3, 3)
-        assert jet[0] == pytest.approx(2.0)
-        assert jet[1] * 1j == pytest.approx(3.0)   # D_rho = (1/i) d/drho
-        assert jet[2] * (1j**2) == pytest.approx(1.0)
+        assert jet.dtype == np.float64  # derivatives d^r/drho^r
+        assert jet == pytest.approx([2.0, 3.0, 1.0])
+        djet = discrete._dz_jet(jet)
+        assert djet[0] == pytest.approx(2.0)
+        assert djet[1] * 1j == pytest.approx(3.0)   # D_rho = (1/i) d/drho
+        assert djet[2] * (1j**2) == pytest.approx(1.0)
         assert stab <= 1e-12
+        cjet, cstab = one_sided_trace(vals.astype(complex), h, +1, 3, 3)
+        assert cjet.dtype == np.complex128
+        np.testing.assert_allclose(cjet, jet, rtol=1e-12)
+        assert cstab <= 1e-12
 
     def test_minus_side(self):
         h = 0.05
@@ -229,7 +236,8 @@ class TestOneSidedTrace:
         vals = np.exp(rho)
         jet, _ = one_sided_trace(vals, h, -1, 2, 3)
         assert jet[0] == pytest.approx(1.0, abs=1e-4)
-        assert jet[1] == pytest.approx(1.0 / 1j, abs=1e-3)
+        assert jet[1] == pytest.approx(1.0, abs=1e-3)
+        assert discrete._dz_jet(jet)[1] == pytest.approx(1.0 / 1j, abs=1e-3)
 
     def test_stability_decay_rate(self):
         stabs = []
@@ -383,7 +391,8 @@ def lu_oracle(dop, trace_degree=None, rank_tol=1e-10):
         rhs[data, np.arange(data.size)] = 1.0
         u = spla.splu(mat).solve(rhs)
         u = u.reshape(ns + 1, nj, -1)[1:ns].transpose(1, 0, 2)
-        return np.concatenate(discrete._jet_rows(u, grid.hz, m, p, side))
+        rows, stability = discrete._jet_rows(u, grid.hz, m, p, side)
+        return np.concatenate(rows), {"trace_stability": stability}
 
     return discrete._path_from_spans(dop, side_span, layout, rank_tol)
 
@@ -464,26 +473,60 @@ class TestStripRoutes:
                 assert path.b_plus.dim == path.b_minus.dim, (route, degree)
 
     @pytest.mark.parametrize("name,dtype", [("x-dependent", np.float64),
+                                            ("cross", np.float64),
                                             ("odd-k", np.complex128)])
     def test_route_guard(self, name, dtype, monkeypatch):
         dop = doubled_strip(NOT_SEPARABLE[name], 24)
         seen = recording_splu(monkeypatch)
         bodies, body_blocks = [], discrete._body_blocks
+        spans, from_span = [], SubspaceBasis.from_span.__func__
 
         def recording_blocks(*args):
             blocks = body_blocks(*args)
             bodies.append(blocks.dtype)
             return blocks
 
+        def recording_span(cls, vectors, **kwargs):
+            spans.append(vectors.dtype)
+            return from_span(cls, vectors, **kwargs)
+
         monkeypatch.setattr(discrete, "_body_blocks", recording_blocks)
-        c = calderon_path_spaces(dop).projector.matrix
+        monkeypatch.setattr(SubspaceBasis, "from_span", classmethod(recording_span))
+        path = calderon_path_spaces(dop)
+        c = path.projector.matrix
         assert seen == []  # the strip factors nothing
         assert bodies == [dtype, dtype]  # one sweep per body
+        assert spans == [dtype, dtype]  # the spans stay in the body's dtype
+        assert c.dtype == np.complex128  # the D_z phase is applied to the result
+        assert path.b_plus.basis.dtype == path.b_minus.basis.dtype == np.complex128
+        assert relative_gap(path, lu_oracle(dop)) <= 1e-11
         sweep = _path_spaces_sweep(dop, None, 1e-10).projector.matrix
         np.testing.assert_array_equal(c, sweep)
         # the mode formula is wrong for these operators
         forced = _path_spaces_modes(dop, None, 1e-10).projector.matrix
         assert fro(forced - sweep) > 1e-6 * fro(sweep)
+
+    @pytest.mark.parametrize("route,traces", [("modes", 4), ("sweep", 4), ("toy", 2)])
+    def test_trace_stability_reported(self, route, traces, monkeypatch):
+        if route == "toy":
+            grid = PhiGrid("HalfLineToy", S=6.0, ns=48)
+            dop = double_geometry(grid, discretize(halfline_toy(), grid))
+        elif route == "modes":
+            dop = doubled_strip(SEPARABLE["laplacian"], 48)
+        else:
+            dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 48)
+        reports, trace = [], discrete.one_sided_trace
+
+        def recording_trace(*args):
+            jet, stability = trace(*args)
+            reports.append(stability)
+            return jet, stability
+
+        monkeypatch.setattr(discrete, "one_sided_trace", recording_trace)
+        certs = calderon_path_spaces(dop).projector.certs
+        assert len(reports) == traces  # one per interface of each body
+        assert certs["trace_stability"] == max(reports)
+        assert np.isfinite(certs["trace_stability"]) and certs["trace_stability"] > 0.0
 
     def test_separable_operator_factors_nothing(self, monkeypatch):
         seen = recording_splu(monkeypatch)

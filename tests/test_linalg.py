@@ -212,3 +212,36 @@ def test_subspace_distance_orthogonal_lines():
 def test_idempotence_defect_scale():
     c = np.diag([1.0, 0.0])
     assert idempotence_defect(c) == 0.0
+
+
+class TestRealArithmetic:
+    """A real operand stays float64 and gives the result of its complex cast."""
+
+    def test_from_span_keeps_dtype(self):
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((9, 4)) @ rng.standard_normal((4, 6))  # rank 4
+        real, cplx = SubspaceBasis.from_span(v), SubspaceBasis.from_span(v.astype(complex))
+        assert real.basis.dtype == np.float64 and cplx.basis.dtype == np.complex128
+        assert real.dim == cplx.dim == 4
+        assert subspace_distance(real, cplx) <= 1e-13
+        assert SubspaceBasis.from_span(np.zeros((3, 2))).basis.dtype == np.float64
+
+    def test_projector_from_pair_keeps_dtype(self):
+        rng = np.random.default_rng(8)
+        r, k = rng.standard_normal((7, 3)), rng.standard_normal((7, 4))
+        real = projector_from_pair(SubspaceBasis.from_span(r), SubspaceBasis.from_span(k))
+        cplx = projector_from_pair(SubspaceBasis.from_span(r.astype(complex)),
+                                   SubspaceBasis.from_span(k.astype(complex)))
+        assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
+        assert fro(real.matrix - cplx.matrix) <= 1e-13 * fro(cplx.matrix)
+        assert abs(real.idem_defect - cplx.idem_defect) <= 1e-13
+        for empty, full in ((r[:, :0], r), (r, r[:, :0])):
+            pair = projector_from_pair(SubspaceBasis.from_span(empty[:3]),
+                                       SubspaceBasis.from_span(full[:3]))
+            assert pair.matrix.dtype == np.float64
+
+    def test_idempotence_defect_keeps_dtype(self):
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal((6, 6))
+        assert abs(idempotence_defect(c) - idempotence_defect(c.astype(complex))) <= 1e-13
+        assert idempotence_defect(np.eye(3, dtype=int)) == 0.0
