@@ -532,6 +532,7 @@ def _sweep_body(blocks, kept, side):
             raise SolveFailure(f"strip sweep, side {side:+d}, line {j}: {exc}") from None
     out = np.empty((kept.size, n, 2 * n), dtype=blocks.dtype)
     lo, mid = None, np.hstack([eye, zero])  # u_0 = g_lo
+    norm_lo, norm_mid = None, fro(mid)  # |u_{j-2}|, |u_{j-1}|, carried forward
     worst = 0.0
     for j in range(1, nz + 1):
         out[kept == j - 1] = mid
@@ -540,15 +541,17 @@ def _sweep_body(blocks, kept, side):
             hi[:, n:] += steps[j][:, n:]
         else:
             hi = np.hstack([zero, eye])
+        norm_hi = fro(hi)
         if lo is not None:
             a, b, c = blocks[j - 1]
             res = fro(_tri_mul(a, lo) + _tri_mul(b, mid) + _tri_mul(c, hi))
-            err = res / (fro(a) * fro(lo) + fro(b) * fro(mid) + fro(c) * fro(hi))
+            err = res / (fro(a) * norm_lo + fro(b) * norm_mid + fro(c) * norm_hi)
             if not err <= SWEEP_TOL:
                 raise SolveFailure(f"strip sweep, side {side:+d}, line {j - 1}: "
                                    f"backward error {err:.3e} exceeds {SWEEP_TOL:.0e}")
             worst = max(worst, err)
         lo, mid = mid, hi
+        norm_lo, norm_mid = norm_mid, norm_hi
     out[kept == nz] = mid
     return out, worst
 

@@ -214,45 +214,69 @@ def _panel_breaks(ode):
     return np.concatenate([[lo, a], a + grade, [a + half], (b - grade)[::-1], [b, hi]])
 
 
-def _collocated_jets(ode, side, p=CHEB_P, breaks=None):
-    """End jets (at z_lo, at z_hi) of one solution basis of the fibre ODE and
-    its Chebyshev tail. D_z V = A(z) V is collocated on each panel without
-    the rows of its first node, whose last d right singular vectors span the
-    panel's solutions; the interface matching matrix joins the panels."""
+def _panel_solutions(ode, side, p, breaks):
+    """Orthonormal solution basis of D_z V = A(z) V on every panel, as an
+    array (panel, node, component, solution), and the largest relative
+    collocation residual |M V| / (|M| |V|) over the panels. M collocates the
+    system at every node but the first. By ODE uniqueness a solution is fixed
+    by its values at the first node, so those d columns split M into
+    [M_0 | B] with B square, and V = [I; -B^-1 M_0]: one batched solve over
+    all panels, then a batched thin QR."""
     d = ode.dim
-    breaks = _panel_breaks(ode) if breaks is None else np.asarray(breaks, dtype=float)
     x, dmat = _cheb(p)
     a, b = breaks[:-1, None], breaks[1:, None]
     z = 0.5 * (a + b) + 0.5 * (b - a) * x
     k = z.shape[0]
-    mat = np.einsum("k,ij,ab->kiajb", -2j / (b - a)[:, 0], dmat, np.eye(d))
+    mat = np.multiply.outer(-2j / (b - a)[:, 0], np.kron(dmat, np.eye(d)))
+    mat = mat.reshape(k, p + 1, d, p + 1, d)
     j = np.arange(p + 1)
     mat[:, j, :, j] -= ode.companion(z).swapaxes(0, 1)
     mat = mat.reshape(k, (p + 1) * d, (p + 1) * d)[:, d:]
-    null = np.linalg.svd(mat)[2][:, -d:].conj().swapaxes(1, 2).reshape(k, p + 1, d, d)
+    try:
+        rest = np.linalg.solve(mat[:, :, d:], -mat[:, :, :d])
+    except np.linalg.LinAlgError as exc:
+        worst = int(np.argmax(np.linalg.cond(mat[:, :, d:])))
+        raise SolveFailure(
+            f"{side} side at mu={ode.mu}: collocation block of panel {worst} "
+            f"[{breaks[worst]:.4g}, {breaks[worst + 1]:.4g}] is singular ({exc})") from None
+    first = np.broadcast_to(np.eye(d), (k, d, d))
+    null = np.linalg.qr(np.concatenate([first, rest], axis=1))[0]
+    res, m_norm, v_norm = (np.linalg.norm(m, axis=(1, 2)) for m in (mat @ null, mat, null))
+    return null.reshape(k, p + 1, d, d), float(np.max(res / (m_norm * v_norm)))
+
+
+def _collocated_jets(ode, side, p=CHEB_P, breaks=None):
+    """End jets (at z_lo, at z_hi) of one solution basis of the fibre ODE,
+    and its certificates: the worst Chebyshev tail and the worst collocation
+    residual of a panel. Each panel's solutions are read from their values
+    at its first node (see _panel_solutions); the interface matching matrix
+    joins the panels."""
+    breaks = _panel_breaks(ode) if breaks is None else np.asarray(breaks, dtype=float)
+    null, resid = _panel_solutions(ode, side, p, breaks)
     coef = np.abs(dct(null, type=1, axis=1))
     coef[:, [0, -1]] *= 0.5
     tails = coef[:, -3:].max(axis=(1, 2, 3)) / coef.max(axis=(1, 2, 3))
     worst = int(np.argmax(tails))
-    if tails[worst] > TAIL_TOL:
+    if not tails[worst] <= TAIL_TOL:
         raise SolveFailure(
             f"{side} side at mu={ode.mu}: Chebyshev tail {tails[worst]:.3e} exceeds "
             f"{TAIL_TOL:.0e} on panel {worst} [{breaks[worst]:.4g}, {breaks[worst + 1]:.4g}]")
+    k, d = null.shape[0], ode.dim
     lo, hi = null[:, 0], null[:, -1]
     match = np.zeros((k - 1, d, k, d), dtype=complex)
     j = np.arange(k - 1)
     match[j, :, j] = hi[:-1]
     match[j, :, j + 1] = -lo[1:]
     c = np.linalg.svd(match.reshape((k - 1) * d, k * d))[2][-d:].conj().T.reshape(k, d, d)
-    return lo[0] @ c[0], hi[-1] @ c[-1], float(tails[worst])
+    return lo[0] @ c[0], hi[-1] @ c[-1], {"tail": float(tails[worst]), "panel_residual": resid}
 
 
 def fundamental_matrix(ode):
     """Endpoint jet maps read from the collocated solution basis with end
     jets Lo, H: jet_hi = H Lo^-1; the residual is the Chebyshev tail."""
-    lo, hi, tail = _collocated_jets(ode, "plus")
+    lo, hi, certs = _collocated_jets(ode, "plus")
     return FundamentalSolution(ode, np.eye(ode.dim, dtype=complex),
-                               np.linalg.solve(lo.T, hi.T).T, tail)
+                               np.linalg.solve(lo.T, hi.T).T, certs["tail"])
 
 
 def propagate_jet(ode, jet_lo, rtol=1e-11, atol=1e-13, method="DOP853"):
@@ -269,14 +293,14 @@ def propagate_jet(ode, jet_lo, rtol=1e-11, atol=1e-13, method="DOP853"):
 
 def _data_space(ode, side, rank_tol):
     """Boundary-data basis of one side of the doubled fibre, ordered
-    (jet at z=0, jet at z=L), and its Chebyshev tail certificate."""
-    lo, hi, tail = _collocated_jets(ode, side)
+    (jet at z=0, jet at z=L), and its collocation certificates."""
+    lo, hi, certs = _collocated_jets(ode, side)
     stacked = np.vstack([lo, hi] if side == "plus" else [hi, lo])
     basis = SubspaceBasis.from_span(stacked, rank_tol=rank_tol)
     if basis.dim != ode.dim:
         raise RankDeficient(
             f"{side}-side jet map lost rank: {basis.dim} < {ode.dim}")
-    return basis, tail
+    return basis, certs
 
 
 def boundary_data_space(ode, rank_tol=1e-8):
@@ -391,15 +415,18 @@ def range_solution_residual(ode, projector, rtol=1e-11):
 def normal_calderon(op, mu, ext, gap_tol=1e-8, rank_tol=1e-8):
     """Normal-family Calderon projector at mu: projector_from_pair of the
     plus and minus boundary-data spaces of the doubled extension, carrying
-    the direct-sum gap and the worse Chebyshev tail as certificates."""
-    bp, tail_p = _data_space(normal_operator(op, mu), "plus", rank_tol)
-    bm, tail_m = _data_space(ext.minus_ode(op, mu), "minus", rank_tol)
+    as certificates the direct-sum gap and, over both sides, the worst
+    Chebyshev tail and the worst panel collocation residual (reported only,
+    no bound)."""
+    bp, certs_p = _data_space(normal_operator(op, mu), "plus", rank_tol)
+    bm, certs_m = _data_space(ext.minus_ode(op, mu), "minus", rank_tol)
     report = direct_sum_check(bp, bm, tol=gap_tol)
     if not report.is_direct_sum:
         raise NotComplementary("B+ and B- are not complementary",
                                gap=report.gap, mu=mu)
     return replace(projector_from_pair(bp, bm),
-                   certs={"gap": report.gap, "tail": max(tail_p, tail_m)})
+                   certs={"gap": report.gap,
+                          **{key: max(certs_p[key], certs_m[key]) for key in certs_p}})
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cuspcal.errors import NotComplementary, PointFibre, SolveFailure
 from cuspcal.fibre import (
+    CHEB_P,
     MU_CAP,
     Bump,
     Fibre,
@@ -19,6 +21,8 @@ from cuspcal.fibre import (
     range_solution_residual,
     ucp_check,
     _collocated_jets,
+    _panel_breaks,
+    _panel_solutions,
 )
 from cuspcal.linalg import (
     SubspaceBasis,
@@ -26,6 +30,7 @@ from cuspcal.linalg import (
     fro,
     subspace_distance,
 )
+from cuspcal.suites import _random_fibre_operator
 from cuspcal._poly import PolyMat1
 
 
@@ -33,6 +38,13 @@ def strip_laplacian(length=1.0):
     return ModelOperator(2, 1, 0, Fibre("interval", length),
                          {(2, 0, 0): 1.0, (0, 0, 2): 1.0},
                          geometry="StripHyperbolic")
+
+
+def c08_system(seed):
+    """A seeded fibre operator of the c08 family with system size N = 2."""
+    op = _random_fibre_operator(np.random.default_rng(seed))
+    assert op.system_size == 2
+    return op
 
 
 def closed_form_basis(tau, length=1.0):
@@ -222,8 +234,6 @@ class TestUcp:
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
     def test_seeded_model_class(self):
-        from cuspcal.suites import _random_fibre_operator
-
         for seed in range(5):
             rng = np.random.default_rng(seed)
             op = _random_fibre_operator(rng)
@@ -363,18 +373,86 @@ def test_propagate_jet_matches_fundamental():
     np.testing.assert_allclose(jet, f.jet_hi @ np.array([1.0, 0.5j]), atol=1e-9)
 
 
-def test_collocation_matches_shooting():
-    # B+ from the collocated basis against one DOP853 shot per unit jet
-    from cuspcal.suites import _random_fibre_operator
+def shooting_space(ode, side):
+    """B+ (plus) or B- (minus: data ordered (jet at 2L, jet at L)) from one
+    DOP853 shot of the fundamental matrix from the left end. One
+    propagate_jet shot per unit jet, at its default tolerances, is itself
+    off by 3.3e-9 on the minus side of the strip Laplacian at tau = 8 (a
+    refined collocation moves by 4e-15); this shot agrees with the
+    collocated spaces to 8e-13 on every case below."""
+    d = ode.dim
+    sol = solve_ivp(lambda z, v: 1j * (ode.companion(z) @ v.reshape(d, d)).ravel(),
+                    ode.interval, np.eye(d, dtype=complex).ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-16)
+    assert sol.success
+    eye, shots = np.eye(d), sol.y[:, -1].reshape(d, d)
+    return SubspaceBasis.from_span(np.vstack([eye, shots] if side == "plus" else [shots, eye]))
 
+
+def assert_matches_shooting(op, mu, ext):
+    ode = normal_operator(op, mu)
+    assert subspace_distance(boundary_data_space(ode), shooting_space(ode, "plus")) <= 1e-9
+    bm = minus_boundary_data_space(ext, op, mu)
+    assert subspace_distance(bm, shooting_space(ext.minus_ode(op, mu), "minus")) <= 1e-9
+
+
+def test_collocation_matches_shooting():
+    # B+ and B- (default bump) from the collocated bases against shooting
+    ext = FibreExtension.with_default_bump(1.0)
     for seed in range(10):
         rng = np.random.default_rng(800 + seed)
         op = _random_fibre_operator(rng)
-        ode = normal_operator(op, (float(rng.uniform(-2.0, 2.0)),))
-        eye = np.eye(ode.dim)
-        shots = np.column_stack([propagate_jet(ode, e) for e in eye])
-        ref = SubspaceBasis.from_span(np.vstack([eye, shots]))
-        assert subspace_distance(boundary_data_space(ode), ref) <= 1e-9
+        assert_matches_shooting(op, (float(rng.uniform(-2.0, 2.0)),), ext)
+
+
+@pytest.mark.parametrize("tau", [1.0, 4.0, 8.0])
+@pytest.mark.parametrize("seed", [None, 802, 803])  # Laplacian; N = 2 with m = 2, 3
+def test_collocation_matches_shooting_at_larger_tau(seed, tau):
+    op = strip_laplacian() if seed is None else c08_system(seed)
+    assert_matches_shooting(op, (tau,), FibreExtension.with_default_bump(1.0))
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_panel_bases_orthonormal(side):
+    ext = FibreExtension.with_default_bump(1.0)
+    for op in (strip_laplacian(), c08_system(802), c08_system(803)):
+        for tau in (0.5, 8.0, 15.9):
+            ode = normal_operator(op, (tau,)) if side == "plus" else ext.minus_ode(op, (tau,))
+            null, _ = _panel_solutions(ode, side, CHEB_P, _panel_breaks(ode))
+            v = null.reshape(null.shape[0], -1, ode.dim)
+            gram = v.conj().swapaxes(1, 2) @ v
+            assert np.abs(gram - np.eye(ode.dim)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [0.5, 8.0, 15.9])
+@pytest.mark.parametrize("seed", [None, 802])  # Laplacian; N = 2
+def test_panel_residual_reported(seed, tau):
+    op = strip_laplacian() if seed is None else c08_system(seed)
+    certs = normal_calderon(op, (tau,), FibreExtension.with_default_bump(1.0)).certs
+    assert np.isfinite(certs["panel_residual"])
+    assert 0.0 <= certs["panel_residual"] <= 1e-13
+
+
+def test_singular_panel_block_raises(monkeypatch):
+    ode = FibreExtension.with_default_bump(1.0).minus_ode(strip_laplacian(), (2.0,))
+    solve = np.linalg.solve
+
+    def singular_panel_block(a, b):  # the companion's own solves still run
+        if a.shape[-1] == CHEB_P * ode.dim:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_panel_block)
+    with pytest.raises(SolveFailure, match=r"minus side at mu=\(2\.0, 0\.0\): collocation "
+                       r"block of panel \d+ \[[\d.]+, [\d.]+\] is singular \(Singular matrix\)"):
+        _collocated_jets(ode, "minus")
+
+
+def test_nan_tail_is_not_certified():
+    # a NaN mu passes the growth cap; its NaN tail must not pass TAIL_TOL
+    with pytest.raises(SolveFailure, match="Chebyshev tail nan exceeds"):
+        normal_calderon(strip_laplacian(), (float("nan"),),
+                        FibreExtension.with_default_bump(1.0))
 
 
 def test_exterior_toy_config_scan():
