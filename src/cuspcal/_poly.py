@@ -41,10 +41,6 @@ class PolyMat1:
     def zero(cls, system_size):
         return cls(np.zeros((1, system_size, system_size), dtype=complex), system_size)
 
-    @classmethod
-    def constant(cls, value, system_size):
-        return cls(_as_coeff(value, system_size)[None, :, :], system_size)
-
     @property
     def degree(self):
         return self.coeffs.shape[0] - 1
@@ -61,11 +57,7 @@ class PolyMat1:
 
     def eval(self, z):
         """Evaluate at scalar or array z; returns (..., N, N)."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (self.system_size, self.system_size), dtype=complex)
-        for c in self.coeffs[::-1]:
-            out = out * z[..., None, None] + c
-        return out
+        return horner(self.coeffs, z)
 
     def deriv(self):
         """d/dz derivative."""
@@ -78,15 +70,6 @@ class PolyMat1:
         """Coefficient-wise conjugate transpose (adjoint of p(z) for real z)."""
         return PolyMat1(np.conj(np.swapaxes(self.coeffs, 1, 2)), self.system_size)
 
-    def compose_affine(self, c0, c1):
-        """Return q with q(z) = p(c0 + c1 z)."""
-        n = self.system_size
-        out = PolyMat1.zero(n)
-        # Horner: p(w) = c_k + w(...), with w = c0 + c1 z.
-        for c in self.coeffs[::-1]:
-            out = _affine_mul(out, c0, c1) + PolyMat1.constant(c, n)
-        return out
-
     def jets_at(self, z0, order):
         """Derivative values p^(j)(z0), j = 0..order, shape (order+1, N, N)."""
         out = np.zeros((order + 1, self.system_size, self.system_size), dtype=complex)
@@ -97,14 +80,24 @@ class PolyMat1:
         return out
 
 
-def _affine_mul(p, c0, c1):
-    """(c0 + c1 z) * p(z)."""
-    n = p.system_size
-    k = p.coeffs.shape[0]
-    out = np.zeros((k + 1, n, n), dtype=complex)
-    out[:k] += c0 * p.coeffs
-    out[1:] += c1 * p.coeffs
-    return PolyMat1(out, n)
+def horner(table, z):
+    """sum_d table[d] z^d at every point of z, for a coefficient table with
+    the degree first: shape z.shape + table.shape[1:]."""
+    z = np.asarray(z, dtype=complex)
+    zz = z.reshape(z.shape + (1,) * (table.ndim - 1))
+    out = np.zeros(z.shape + table.shape[1:], dtype=complex)
+    for c in table[::-1]:
+        out = out * zz + c
+    return out
+
+
+def compose_affine(table, c0, c1):
+    """Coefficient table of q(z) = p(c0 + c1 z), where `table` holds the
+    coefficients of p along its first (degree) axis; any trailing shape."""
+    d = range(table.shape[0])
+    basis = np.array([[math.comb(i, j) * c0 ** (i - j) * c1**j if i >= j else 0.0
+                       for i in d] for j in d])
+    return np.tensordot(basis, table, axes=1)
 
 
 class PolyMat2:
@@ -149,11 +142,18 @@ def block_companion(coeffs):
     """Companion matrix A of sum_k A_k D^k v = 0, k = 0..m, in the variables
     V = (v, D v, ..., D^{m-1} v), so that D V = A V. The A_k are (..., N, N)
     arrays of one shape; returns (..., mN, mN) from one solve with A_m."""
-    m, n = len(coeffs) - 1, coeffs[-1].shape[-1]
-    a = np.zeros(coeffs[-1].shape[:-2] + (m * n, m * n), dtype=complex)
+    m = len(coeffs) - 1
+    return companion_from_rows(-np.linalg.solve(coeffs[m], np.concatenate(coeffs[:m], axis=-1)), m)
+
+
+def companion_from_rows(rows, m):
+    """Block companion (..., mN, mN) with identity blocks above the diagonal
+    and last block row `rows` (..., N, mN) = -A_m^-1 [A_0, ..., A_{m-1}]."""
+    n = rows.shape[-2]
+    a = np.zeros(rows.shape[:-2] + (m * n, m * n), dtype=complex)
     for i in range(m - 1):
         a[..., i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
-    a[..., (m - 1) * n :, :] = -np.linalg.solve(coeffs[m], np.concatenate(coeffs[:m], axis=-1))
+    a[..., (m - 1) * n :, :] = rows
     return a
 
 

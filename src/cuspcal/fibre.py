@@ -9,13 +9,14 @@ endpoints; boundary-data vectors in C^{2mN} are ordered
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import dct
 from scipy.integrate import solve_ivp
 
-from ._poly import PolyMat1, PolyMat2, block_companion, formal_adjoint
+from ._poly import PolyMat1, PolyMat2, companion_from_rows, compose_affine, formal_adjoint, horner
 from .errors import (
     IntegrationFailure,
     NotComplementary,
@@ -88,6 +89,7 @@ class ModelOperator:
         sv = np.linalg.svd(vals, compute_uv=False)
         if np.min(sv[..., -1]) <= rank_tol * max(1.0, np.max(sv[..., 0])):
             raise ValueError("a_{m,0,0}(0, z) is singular on the fibre")
+        self._families = {}  # normal families by side, see _plus_family
 
 
 class FibreODE:
@@ -95,25 +97,35 @@ class FibreODE:
 
         sum_beta A_beta(z) D_z^beta v = 0,
         A_beta(z) = sum_{k,alpha} a_{k,alpha,beta}(0, z) tau^k eta^alpha
+
+    An ODE is a _NormalFamily bound to the weights tau^k eta^alpha of its
+    monomials. One built here from A_0..A_m gets a family of its own with
+    the single monomial 1.
     """
 
     def __init__(self, order, system_size, interval, coeffs, mu=None,
                  extra_potential=None, rank_tol=1e-8):
-        self.order = int(order)
-        self.system_size = int(system_size)
-        self.interval = (float(interval[0]), float(interval[1]))
-        if self.interval[1] <= self.interval[0]:
-            raise ValueError("empty fibre interval")
-        if len(coeffs) != self.order + 1:
+        order, n = int(order), int(system_size)
+        if len(coeffs) != order + 1:
             raise ValueError("need coefficients A_0..A_m")
-        self.coeffs = list(coeffs)
-        self.mu = mu
-        self.extra_potential = extra_potential
-        zs = np.linspace(*self.interval, 33)
-        lead = self.coeffs[-1].eval(zs)
-        sv = np.linalg.svd(lead, compute_uv=False)
-        if np.min(sv[..., -1]) <= rank_tol * max(1.0, np.max(sv[..., 0])):
-            raise ValueError("leading ODE coefficient is singular on the fibre")
+        table = np.zeros((max(c.degree for c in coeffs) + 1, 1, order + 1, n, n), dtype=complex)
+        for beta, c in enumerate(coeffs):
+            table[: c.degree + 1, 0, beta] = c.coeffs
+        family = _NormalFamily(order, n, interval, [(0, 0)], table, extra_potential)
+        _check_leading(family, rank_tol)
+        self._bind(family, mu, (1.0,), list(coeffs))
+
+    def _bind(self, family, mu, weights, coeffs=None):
+        self.family, self.mu, self.weights, self._coeffs = family, mu, weights, coeffs
+        self.order, self.system_size = family.order, family.system_size
+        self.interval, self.extra_potential = family.interval, family.potential
+
+    @property
+    def coeffs(self):
+        """A_0..A_m as PolyMat1, summed from the family on first use."""
+        if self._coeffs is None:
+            self._coeffs = self.family.coeffs(self.weights)
+        return self._coeffs
 
     @property
     def dim(self):
@@ -133,7 +145,7 @@ class FibreODE:
     def companion(self, z):
         """D_z-convention companion: D_z V = A(z) V, V = (v, ..., D_z^{m-1} v).
         Evaluates at scalar or array z; returns (..., mN, mN)."""
-        return block_companion(self.coeff_values(z))
+        return self.family.companion(self.family.tables(z), self.weights)
 
     def formal_adjoint(self):
         """L2 formal adjoint (see _poly.formal_adjoint). The bump potential,
@@ -143,23 +155,142 @@ class FibreODE:
                         extra_potential=self.extra_potential)
 
 
+class _NormalFamily:
+    """The mu-independent part of a family of fibre ODEs on `interval`,
+
+        sum_w mu^w sum_beta A_{w,beta}(z) D_z^beta v + q(z) v = 0,
+
+    where mu^w = tau^k eta^alpha runs over the monomials w = (k, alpha) in
+    `powers`, the first being (0, 0), and q is an optional potential.
+    `table` holds the coefficients as (degree in z, monomial, beta, N, N).
+    Only w = (0, 0) has a beta = m part (k + alpha + beta <= m), so A_m
+    carries no mu. Per panel layout (p, breaks) the family keeps the factors
+    of the collocation tensor and the companion tables at the nodes; nothing
+    keyed by mu is kept."""
+
+    def __init__(self, order, system_size, interval, powers, table, potential=None):
+        self.order, self.system_size = order, system_size
+        self.interval = (float(interval[0]), float(interval[1]))
+        if self.interval[1] <= self.interval[0]:
+            raise ValueError("empty fibre interval")
+        self.powers, self.table, self.potential = powers, table, potential
+        self._layouts = {}
+
+    def at(self, tau, eta):
+        """The ODE of the family at mu = (tau, eta)."""
+        ode = FibreODE.__new__(FibreODE)
+        ode._bind(self, (tau, eta), [tau**k * (eta**alpha if alpha else 1.0)
+                                     for k, alpha in self.powers])
+        return ode
+
+    def coeffs(self, weights):
+        """A_0..A_m at the given monomial weights, as PolyMat1."""
+        table = np.tensordot(weights, self.table, axes=([0], [1]))
+        return [PolyMat1(table[:, beta], self.system_size) for beta in range(self.order + 1)]
+
+    def mirrored(self, length, potential):
+        """The family of the doubled operator on the minus side [L, 2L]:
+        B_{w,b}(z) = (-1)^b A_{w,b}(2L - z), plus the potential."""
+        sign = (-1.0) ** np.arange(self.order + 1)
+        table = compose_affine(self.table, 2.0 * length, -1.0) * sign[:, None, None]
+        return _NormalFamily(self.order, self.system_size, (length, 2.0 * length),
+                             self.powers, table, potential)
+
+    def tables(self, z):
+        """Companion tables at z (any shape s), from one solve with A_m: the
+        mu-free last block row R = -A_m^-1 [q I, 0, ..., 0], shape
+        s + (N, mN), and per monomial F_w = -A_m^-1 [A_{w,0}, ..., A_{w,m-1}],
+        shape (W,) + s + (N, mN)."""
+        m, n, nw = self.order, self.system_size, len(self.powers)
+        z = np.asarray(z, dtype=float)
+        vals = horner(self.table, z)
+        q = np.zeros(z.shape) if self.potential is None else np.asarray(self.potential(z))
+        rhs = np.concatenate([np.moveaxis(vals[..., :m, :, :], -2, -4).reshape(z.shape + (n, nw * m * n)),
+                              q[..., None, None] * np.eye(n)], axis=-1)
+        x = -np.linalg.solve(vals[..., 0, m, :, :], rhs)
+        rows = np.zeros(z.shape + (n, m * n), dtype=complex)
+        rows[..., :n] = x[..., nw * m * n :]
+        return rows, np.moveaxis(x[..., : nw * m * n].reshape(z.shape + (n, nw, m * n)), -2, 0)
+
+    def companion(self, tables, weights):
+        """Companion matrices R + sum_w mu^w F_w from `tables` (see tables)."""
+        rows, f = tables
+        return companion_from_rows(sum((w * fw for w, fw in zip(weights, f)), rows), self.order)
+
+    def layout(self, p, breaks):
+        """Collocation of the panels [a, b] between the breaks at every node
+        but each panel's first: the factors of the tensor (-2i/(b-a)) D (x) I,
+        namely -2i/(b-a) per panel and D (x) I without its first d rows, and
+        the companion tables at those nodes, node-major (node, panel). The
+        tensor itself is one outer product per mu, which costs about what a
+        copy of a kept tensor would."""
+        key = (p, tuple(breaks))
+        if key not in self._layouts:
+            x, dmat = _cheb(p)
+            a, b = breaks[:-1], breaks[1:]
+            z = 0.5 * (a + b) + 0.5 * (b - a) * x[1:, None]
+            d = self.order * self.system_size
+            self._layouts[key] = (-2j / (b - a), np.kron(dmat[1:], np.eye(d)).astype(complex),
+                                  self.tables(z))
+        return self._layouts[key]
+
+
+def _check_leading(family, rank_tol=1e-8):
+    """ValueError unless A_m is invertible at 33 points of the fibre. A_m
+    carries no mu, so this runs once per family."""
+    zs = np.linspace(*family.interval, 33)
+    sv = np.linalg.svd(horner(family.table[:, 0, -1], zs), compute_uv=False)
+    if np.min(sv[..., -1]) <= rank_tol * max(1.0, np.max(sv[..., 0])):
+        raise ValueError("leading ODE coefficient is singular on the fibre")
+
+
+def _plus_family(op):
+    """The family of N(P) on [0, L]: the x = 0 coefficients of op grouped by
+    their monomial tau^k eta^alpha. Built and checked on first use and kept
+    on the operator, whose coefficients are fixed once it is constructed."""
+    family = op._families.get("plus")
+    if family is None:
+        m, n = op.order, op.system_size
+        entries = [(k, alpha, beta, dz, c) for (k, alpha, beta), pm in op.coefficients.items()
+                   for (dx, dz), c in pm.coeffs.items() if dx == 0]
+        powers = list(dict.fromkeys([(0, 0)] + [e[:2] for e in entries]))
+        deg = max((e[3] for e in entries), default=0)
+        table = np.zeros((deg + 1, len(powers), m + 1, n, n), dtype=complex)
+        for k, alpha, beta, dz, c in entries:
+            table[dz, powers.index((k, alpha)), beta] = c
+        family = _NormalFamily(m, n, (0.0, op.fibre.length), powers, table)
+        _check_leading(family)
+        op._families["plus"] = family
+    return family
+
+
+def _minus_family(op, ext):
+    """The family of the doubled operator on the minus side of `ext`, derived
+    from _plus_family(op) and kept on the operator per extension."""
+    family = op._families.get(ext)
+    if family is None:
+        if ext.length != op.fibre.length:
+            raise ValueError(f"extension length {ext.length} differs from the "
+                             f"fibre length {op.fibre.length}")
+        family = op._families[ext] = _plus_family(op).mirrored(ext.length, ext.bump)
+    return family
+
+
 MU_CAP = 16.0  # exponential growth over the fibre stays within float64
 
 
 def normal_operator(op, mu, mu_cap=MU_CAP):
-    """Freeze coefficients at x = 0 and substitute tau^k eta^alpha."""
+    """Freeze coefficients at x = 0 and substitute tau^k eta^alpha: the
+    operator's normal family (built once, see _plus_family) at mu."""
     if op.fibre.kind != "interval":
         raise PointFibre("normal_operator needs an interval fibre; "
                          "use full_ellipticity_scan for point fibres")
     tau, eta = _split_mu(op, mu)
+    if not (math.isfinite(tau) and math.isfinite(eta)):
+        raise ValueError(f"mu={mu} is not finite")
     if mu_cap is not None and max(abs(tau), abs(eta)) > mu_cap:
         raise ValueError(f"|mu| exceeds the growth cap {mu_cap}")
-    n = op.system_size
-    coeffs = [PolyMat1.zero(n) for _ in range(op.order + 1)]
-    for (k, alpha, beta), pm in op.coefficients.items():
-        w = (tau**k) * (eta**alpha if alpha else 1.0)
-        coeffs[beta] = coeffs[beta] + pm.at_x0().scale(w)
-    return FibreODE(op.order, n, (0.0, op.fibre.length), coeffs, mu=(tau, eta))
+    return _plus_family(op).at(tau, eta)
 
 
 def _split_mu(op, mu):
@@ -218,20 +349,18 @@ def _panel_solutions(ode, side, p, breaks):
     """Orthonormal solution basis of D_z V = A(z) V on every panel, as an
     array (panel, node, component, solution), and the largest relative
     collocation residual |M V| / (|M| |V|) over the panels. M collocates the
-    system at every node but the first. By ODE uniqueness a solution is fixed
-    by its values at the first node, so those d columns split M into
+    system at every node but the first: the family's mu-free tensor of the
+    layout minus the companion at the nodes. By ODE uniqueness a solution is
+    fixed by its values at the first node, so those d columns split M into
     [M_0 | B] with B square, and V = [I; -B^-1 M_0]: one batched solve over
     all panels, then a batched thin QR."""
     d = ode.dim
-    x, dmat = _cheb(p)
-    a, b = breaks[:-1, None], breaks[1:, None]
-    z = 0.5 * (a + b) + 0.5 * (b - a) * x
-    k = z.shape[0]
-    mat = np.multiply.outer(-2j / (b - a)[:, 0], np.kron(dmat, np.eye(d)))
-    mat = mat.reshape(k, p + 1, d, p + 1, d)
-    j = np.arange(p + 1)
-    mat[:, j, :, j] -= ode.companion(z).swapaxes(0, 1)
-    mat = mat.reshape(k, (p + 1) * d, (p + 1) * d)[:, d:]
+    scale, dmat, tables = ode.family.layout(p, breaks)
+    k = scale.shape[0]
+    mat = np.multiply.outer(scale, dmat).reshape(k, p, d, p + 1, d)
+    j = np.arange(1, p + 1)
+    mat[:, j - 1, :, j] -= ode.family.companion(tables, ode.weights)
+    mat = mat.reshape(k, p * d, (p + 1) * d)
     try:
         rest = np.linalg.solve(mat[:, :, d:], -mat[:, :, :d])
     except np.linalg.LinAlgError as exc:
@@ -241,8 +370,15 @@ def _panel_solutions(ode, side, p, breaks):
             f"[{breaks[worst]:.4g}, {breaks[worst + 1]:.4g}] is singular ({exc})") from None
     first = np.broadcast_to(np.eye(d), (k, d, d))
     null = np.linalg.qr(np.concatenate([first, rest], axis=1))[0]
-    res, m_norm, v_norm = (np.linalg.norm(m, axis=(1, 2)) for m in (mat @ null, mat, null))
+    res, m_norm, v_norm = (_panel_norms(m) for m in (mat @ null, mat, null))
     return null.reshape(k, p + 1, d, d), float(np.max(res / (m_norm * v_norm)))
+
+
+def _panel_norms(a):
+    """Frobenius norm of each panel's complex matrix a[i], as one sum of
+    squares over the real and imaginary parts."""
+    v = np.ascontiguousarray(a).view(float).reshape(a.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def _collocated_jets(ode, side, p=CHEB_P, breaks=None):
@@ -317,6 +453,9 @@ class Bump:
     support: tuple = (0.0, 1.0)
 
     def __post_init__(self):
+        # a tuple of floats keeps the bump hashable: extensions key the
+        # minus-side families (see _minus_family)
+        object.__setattr__(self, "support", tuple(float(s) for s in self.support))
         if self.height < 0:
             raise ValueError("bump height must be nonnegative")
         if self.support[1] <= self.support[0]:
@@ -357,14 +496,8 @@ class FibreExtension:
     def minus_ode(self, op, mu):
         """Normal family of the doubled operator on the minus side [L, 2L]:
         mirrored coefficients B_b(z) = (-1)^b A_b(2L - z), plus the bump."""
-        base = normal_operator(op, mu)
-        two_l = 2.0 * self.length
-        coeffs = [
-            c.compose_affine(two_l, -1.0).scale((-1.0) ** b)
-            for b, c in enumerate(base.coeffs)
-        ]
-        return FibreODE(base.order, base.system_size, (self.length, two_l),
-                        coeffs, mu=base.mu, extra_potential=self.bump)
+        tau, eta = normal_operator(op, mu).mu
+        return _minus_family(op, self).at(tau, eta)
 
 
 def minus_boundary_data_space(ext, op, mu, rank_tol=1e-8):

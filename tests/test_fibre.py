@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from cuspcal import fibre
 from cuspcal.errors import NotComplementary, PointFibre, SolveFailure
 from cuspcal.fibre import (
     CHEB_P,
@@ -31,7 +32,7 @@ from cuspcal.linalg import (
     subspace_distance,
 )
 from cuspcal.suites import _random_fibre_operator
-from cuspcal._poly import PolyMat1
+from cuspcal._poly import PolyMat1, block_companion
 
 
 def strip_laplacian(length=1.0):
@@ -101,6 +102,98 @@ class TestNormalOperator:
         with pytest.raises(ValueError, match="cap"):
             normal_operator(op, (17.0,))
         assert normal_operator(op, (17.0,), mu_cap=None) is not None
+
+
+class TestNonFiniteMu:
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_normal_operator(self, tau):
+        with pytest.raises(ValueError, match=rf"mu=\({tau},\) is not finite"):
+            normal_operator(strip_laplacian(), (tau,))
+        with pytest.raises(ValueError, match="is not finite"):
+            normal_operator(strip_laplacian(), (tau,), mu_cap=None)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_normal_calderon(self, tau):
+        with pytest.raises(ValueError, match=rf"mu=\({tau},\) is not finite"):
+            normal_calderon(strip_laplacian(), (tau,), FibreExtension.with_default_bump(1.0))
+
+    def test_eta(self):
+        op = ModelOperator(2, 1, 1, Fibre("interval", 1.0),
+                           {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+        assert normal_calderon(op, (1.0, 0.5), FibreExtension.with_default_bump(1.0)).rank == 2
+        with pytest.raises(ValueError, match=r"mu=\(1.0, nan\) is not finite"):
+            normal_operator(op, (1.0, float("nan")))
+
+
+class TestNormalFamily:
+    """normal_operator and minus_ode bind mu to tables built once per
+    operator (and extension)."""
+
+    @pytest.mark.parametrize("seed", [None, 802, 803])  # Laplacian; N = 2 with m = 2, 3
+    def test_warm_calls_equal_cold_calls(self, seed):
+        make = strip_laplacian if seed is None else (lambda: c08_system(seed))
+        ext = FibreExtension.with_default_bump(1.0)
+        warm_op = make()
+        for tau in (2.0, 0.5, 8.0, 15.9):
+            normal_calderon(warm_op, (tau,), ext)
+        for tau in (0.5, 8.0, 15.9):
+            cold = normal_calderon(make(), (tau,), FibreExtension.with_default_bump(1.0))
+            warm = normal_calderon(warm_op, (tau,), ext)
+            assert np.array_equal(warm.matrix, cold.matrix)
+            assert warm.certs == cold.certs
+
+    def test_bump_off_after_bump_on(self):
+        op = strip_laplacian()
+        normal_calderon(op, (0.0,), FibreExtension.with_default_bump(1.0))
+        with pytest.raises(NotComplementary) as err:
+            normal_calderon(op, (0.0,), FibreExtension(1.0))
+        assert err.value.mu == (0.0,)
+
+    def test_bump_height_is_part_of_the_family(self):
+        op = strip_laplacian()
+        b1, b2 = (minus_boundary_data_space(FibreExtension.with_default_bump(1.0, h), op, (1.0,))
+                  for h in (1.0, 2.0))
+        assert subspace_distance(b1, b2) > 1e-3
+
+    def test_leading_coefficient_checked_once(self, monkeypatch):
+        calls = []
+        check = fibre._check_leading
+        monkeypatch.setattr(fibre, "_check_leading", lambda *a: (calls.append(1), check(*a)))
+        op, ext = c08_system(802), FibreExtension.with_default_bump(1.0)
+        for tau in np.linspace(0.25, 15.0, 20):
+            normal_calderon(op, (tau,), ext)
+        assert len(calls) == 1
+
+    def test_singular_leading_coefficient_raises_every_call(self):
+        op = ModelOperator(2, 1, 0, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 0, 0): 1.0})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="leading ODE coefficient is singular"):
+                normal_operator(op, (1.0,))
+            with pytest.raises(ValueError, match="leading ODE coefficient is singular"):
+                normal_calderon(op, (1.0,), FibreExtension.with_default_bump(1.0))
+
+    def test_family_freed_with_operator(self):
+        import gc
+        import weakref
+
+        op = strip_laplacian()
+        ext = FibreExtension.with_default_bump(1.0)
+        normal_calderon(op, (1.0,), ext)
+        refs = [weakref.ref(normal_operator(op, (1.0,)).family),
+                weakref.ref(ext.minus_ode(op, (1.0,)).family)]
+        del op
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    @pytest.mark.parametrize("seed", [None, 802, 803])
+    def test_companion_matches_coefficients(self, seed):
+        # the tables and the lazily summed (and mirrored) coefficients agree
+        op = strip_laplacian() if seed is None else c08_system(seed)
+        ext = FibreExtension.with_default_bump(1.0)
+        for ode in (normal_operator(op, (3.0,)), ext.minus_ode(op, (3.0,))):
+            z = np.linspace(*ode.interval, 11)
+            np.testing.assert_allclose(ode.companion(z), block_companion(ode.coeff_values(z)),
+                                       rtol=1e-13, atol=1e-13)
 
 
 class TestFundamentalMatrix:
@@ -348,9 +441,13 @@ class TestFullEllipticityScan:
         rep = full_ellipticity_scan(op, taus)
         assert rep.failing == [(0.0,)]
 
-    @pytest.mark.parametrize("tau", [0.5, 2.0])
-    def test_strip_gap_matches_normal_calderon(self, tau):
-        op = strip_laplacian()
+    @pytest.mark.parametrize("seed, tau", [
+        pytest.param(None, 0.5, id="0.5"), pytest.param(None, 2.0, id="2.0"),
+        pytest.param(None, 15.9, id="15.9"), pytest.param(802, 0.5, id="802-0.5"),
+        pytest.param(802, 15.9, id="802-15.9")])
+    def test_strip_gap_matches_normal_calderon(self, seed, tau):
+        # the scan and the projector read one companion path: equal bits
+        op = strip_laplacian() if seed is None else c08_system(seed)
         ext = FibreExtension.with_default_bump(1.0)
         rep = full_ellipticity_scan(op, [(tau,)], ext)
         assert rep.rows[0].min_sv == normal_calderon(op, (tau,), ext).certs["gap"]
@@ -360,6 +457,15 @@ class TestExtensionValidation:
     def test_bump_support_must_be_minus_side(self):
         with pytest.raises(ValueError):
             FibreExtension(1.0, Bump(1.0, (0.5, 1.5)))
+
+    def test_bump_support_given_as_list(self):
+        ext = FibreExtension(1.0, Bump(1.0, [1.15, 1.85]))
+        assert ext == FibreExtension.with_default_bump(1.0)
+        assert normal_calderon(strip_laplacian(), (1.0,), ext).rank == 2
+
+    def test_extension_length_must_match_fibre(self):
+        with pytest.raises(ValueError, match="extension length 2.0 differs"):
+            FibreExtension.with_default_bump(2.0).minus_ode(strip_laplacian(), (1.0,))
 
     def test_bump_nonnegative(self):
         with pytest.raises(ValueError):
@@ -448,11 +554,11 @@ def test_singular_panel_block_raises(monkeypatch):
         _collocated_jets(ode, "minus")
 
 
-def test_nan_tail_is_not_certified():
-    # a NaN mu passes the growth cap; its NaN tail must not pass TAIL_TOL
+def test_nan_tail_is_not_certified(monkeypatch):
+    # a NaN Chebyshev coefficient makes a NaN tail, which must not pass TAIL_TOL
+    monkeypatch.setattr(fibre, "dct", lambda a, **kw: np.full(a.shape, np.nan))
     with pytest.raises(SolveFailure, match="Chebyshev tail nan exceeds"):
-        normal_calderon(strip_laplacian(), (float("nan"),),
-                        FibreExtension.with_default_bump(1.0))
+        normal_calderon(strip_laplacian(), (2.0,), FibreExtension.with_default_bump(1.0))
 
 
 def test_exterior_toy_config_scan():
