@@ -14,7 +14,6 @@ from .linalg import (
     subspace_distance,
 )
 from .symbols import (
-    Covector,
     PolyMatrixSymbol,
     calderon_symbol,
     companion_matrix,

@@ -156,7 +156,10 @@ class RunConfig:
 
 
 def _number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float, never a bool, and no int beyond the float range
+    (JSON integers have no size limit)."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
 
 
 def _exact_int(value):
@@ -177,12 +180,12 @@ def parse_config(text):
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
 
-    def need(key, types, path=""):
+    def need(key, types):
         if key not in doc:
-            errors.append(SchemaError(path + key, "missing required field"))
+            errors.append(SchemaError(key, "missing required field"))
             return None
-        if not isinstance(doc[key], types):
-            errors.append(SchemaError(path + key, f"expected {types}"))
+        if isinstance(doc[key], bool) or not isinstance(doc[key], types):
+            errors.append(SchemaError(key, f"expected {types}"))
             return None
         return doc[key]
 
@@ -195,7 +198,8 @@ def parse_config(text):
     geometry = need("geometry", str)
     # the weight c of x^{-c m} P is accepted and ignored: it does not change
     # the solutions of P u = 0
-    if not isinstance(doc.get("weight_c", 0), int):
+    weight = doc.get("weight_c", 0)
+    if isinstance(weight, bool) or not isinstance(weight, int):
         errors.append(SchemaError("weight_c", "expected an integer"))
     fibre_doc = need("fibre", dict)
     fibre = None
@@ -205,8 +209,8 @@ def parse_config(text):
             errors.append(SchemaError("fibre.type", "must be 'point' or 'interval'"))
         elif kind == "interval":
             length = fibre_doc.get("length")
-            if not isinstance(length, (int, float)) or length <= 0:
-                errors.append(SchemaError("fibre.length", "need a positive length"))
+            if not (_number(length) and 0 < length < math.inf):
+                errors.append(SchemaError("fibre.length", "need a finite positive length"))
             else:
                 fibre = Fibre("interval", float(length))
         else:
@@ -234,7 +238,7 @@ def parse_config(text):
             bad = False
             for j, term in enumerate(poly):
                 if (not isinstance(term, list) or len(term) != 4
-                        or not all(isinstance(v, (int, float)) for v in term)):
+                        or not all(_number(v) for v in term)):
                     errors.append(SchemaError(f"{path}.poly[{j}]",
                                               "expected [x_deg, z_deg, re, im]"))
                     bad = True

@@ -44,6 +44,7 @@ from .symbols import PolyMatrixSymbol, calderon_symbol
 
 
 SWEEP_TOL = 1e-12  # normwise backward error of a line equation of the strip sweep
+PATH_RANK_TOL = 1e-10  # rank and complementarity of the path-A data spaces, relative
 
 
 def _central_stencil(der, h):
@@ -313,8 +314,9 @@ def _trace_weights(h, side, njet, degree):
 @dataclass
 class PathProjection:
     """Path-A result: the discrete projector and its boundary-data spaces.
-    `projector.certs["trace_stability"]` is the largest stability report of
-    the one-sided traces of the body solutions."""
+    `projector.certs` holds the direct-sum gap of the two spaces and the
+    largest stability report of the one-sided traces of the body solutions
+    (`gap`, `trace_stability`)."""
 
     projector: Projector
     b_plus: SubspaceBasis
@@ -323,7 +325,7 @@ class PathProjection:
     operator: GridOperator
 
 
-def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
+def calderon_path_spaces(opd, trace_degree=None):
     """Discrete Calderon projector with range B+ and kernel B-: boundary
     jets of the one-sided discrete Dirichlet problems on the doubled grid.
 
@@ -333,25 +335,26 @@ def calderon_path_spaces(opd, trace_degree=None, rank_tol=1e-10):
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
-        return _path_spaces_toy(opd, trace_degree, rank_tol)
+        return _path_spaces_toy(opd, trace_degree)
     if _s_separable(opd.model):
-        return _path_spaces_modes(opd, trace_degree, rank_tol)
-    return _path_spaces_sweep(opd, trace_degree, rank_tol)
+        return _path_spaces_modes(opd, trace_degree)
+    return _path_spaces_sweep(opd, trace_degree)
 
 
-def _path_from_spans(opd, side_span, layout, rank_tol):
+def _path_from_spans(opd, side_span, layout):
     """Path-A projector from the spanning data columns of each body.
 
     side_span(side) returns the columns as derivative jets in the dtype of
     the body, and the body's certificates (name -> value); the projector
-    reports the larger value of the two bodies."""
+    reports the larger value of the two bodies, beside its gap."""
     bases, certs = [], {}
     for side in (+1, -1):
         span, side_certs = side_span(side)
-        bases.append(SubspaceBasis.from_span(span, rank_tol=rank_tol))
+        bases.append(SubspaceBasis.from_span(span, rank_tol=PATH_RANK_TOL))
         for name, value in side_certs.items():
             certs[name] = max(value, certs.get(name, value))
-    return _dz_phase(replace(projector_from_pair(*bases), certs=certs), layout, opd)
+    proj = projector_from_pair(bases[0], bases[1])
+    return _dz_phase(replace(proj, certs={**proj.certs, **certs}), layout, opd)
 
 
 def _dz_phase(proj, layout, opd):
@@ -374,7 +377,7 @@ def _dz_phase(proj, layout, opd):
                           bp, bm, layout, opd)
 
 
-def _path_spaces_toy(opd, trace_degree, rank_tol):
+def _path_spaces_toy(opd, trace_degree):
     op = opd.model
     m, n = op.order, op.system_size
     if m < 1:
@@ -400,7 +403,7 @@ def _path_spaces_toy(opd, trace_degree, rank_tol):
         return jet.reshape(m * n, n), {"trace_stability": stability}
 
     layout = {"geometry": "HalfLineToy", "m": m, "N": n, "data_dim": m * n}
-    return _path_from_spans(opd, side_span, layout, rank_tol)
+    return _path_from_spans(opd, side_span, layout)
 
 
 def _s_separable(op):
@@ -457,7 +460,7 @@ def _jet_rows(u, hz, m, p, side):
     return [lo[0], lo[1], hi[0], hi[1]], max(stab_a, stab_b)
 
 
-def _path_spaces_sweep(opd, trace_degree, rank_tol):
+def _path_spaces_sweep(opd, trace_degree):
     """Strip path A by a block-tridiagonal sweep in z over each body.
 
     Grouped by z line, the interior-s unknowns of a body satisfy
@@ -479,7 +482,7 @@ def _path_spaces_sweep(opd, trace_degree, rank_tol):
         rows, stability = _jet_rows(u, grid.hz, m, p, side)
         return np.concatenate(rows), {"line_backward_error": err, "trace_stability": stability}
 
-    return _path_from_spans(opd, side_span, layout, rank_tol)
+    return _path_from_spans(opd, side_span, layout)
 
 
 def _body_blocks(opd, side):
@@ -556,7 +559,7 @@ def _sweep_body(blocks, kept, side):
     return out, worst
 
 
-def _path_spaces_modes(opd, trace_degree, rank_tol):
+def _path_spaces_modes(opd, trace_degree):
     """Strip path A for an s-separable operator, by fast diagonalisation.
 
     With the same-line block A0 and the next-line block A1 of the assembled
@@ -564,7 +567,8 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
     (A0 + 2 cos(pi j / ns) A1) u = 0 on each body: one tridiagonal solve per
     mode and body, and one 4 x 4 projector per mode. Rank and complementarity
     are certified against the largest singular value over all modes, as the
-    sweep route certifies the full bases.
+    sweep route certifies the full bases; the singular values of the lifted
+    pair are those of the modes, so its gap is the smallest over the modes.
     """
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
@@ -593,7 +597,7 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
             u[1:-1, j] = sla.solve_banded((1, 1), band0 + c * band1, rhs0 + c * rhs1)
         rows, stability = _jet_rows(u, grid.hz, m, p, side)
         basis, sv, _ = np.linalg.svd(np.stack(rows, axis=1), full_matrices=False)  # (mode, 4, 2)
-        return basis, int(np.sum(sv > rank_tol * sv.max())), stability
+        return basis, int(np.sum(sv > PATH_RANK_TOL * sv.max())), stability
 
     (up, r, stab_p), (um, k, stab_m) = side_span(+1), side_span(-1)
     if r + k != 4 * n_int:
@@ -601,9 +605,10 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
             f"range dim {r} + kernel dim {k} != ambient dim {4 * n_int}", gap=0.0)
     pair = np.concatenate([up, um], axis=2)
     sv = np.linalg.svd(pair, compute_uv=False)
-    if sv.min() <= rank_tol * sv.max():
+    gap = float(sv.min())
+    if gap <= PATH_RANK_TOL * sv.max():
         raise NotComplementary(
-            "concatenated range/kernel basis is numerically singular", gap=float(sv.min()))
+            "concatenated range/kernel basis is numerically singular", gap=gap)
     c_modes = up @ np.linalg.inv(pair)[:, :2]
     smat = np.sqrt(2.0 / ns) * np.sin(np.pi * np.outer(modes, modes) / ns)
 
@@ -612,10 +617,10 @@ def _path_spaces_modes(opd, trace_degree, rank_tol):
 
     cmat = (lift(c_modes).reshape(4 * n_int, 4, n_int) @ smat).reshape(4 * n_int, -1)
     # S and every mode's singular vectors are orthonormal, so the lifts are
-    bp = SubspaceBasis._orthonormal(lift(up), rank_tol)
-    bm = SubspaceBasis._orthonormal(lift(um), rank_tol)
+    bp = SubspaceBasis._orthonormal(lift(up), PATH_RANK_TOL)
+    bm = SubspaceBasis._orthonormal(lift(um), PATH_RANK_TOL)
     proj = Projector(cmat, idempotence_defect(cmat), bp, bm,
-                     {"trace_stability": max(stab_p, stab_m)})
+                     {"gap": gap, "trace_stability": max(stab_p, stab_m)})
     return _dz_phase(proj, layout, opd)
 
 
@@ -694,19 +699,20 @@ def jump_operator(op):
     return jump_from_collar(jets)
 
 
-def green_identity_defect(coeffs, jump, u_fn, phi_fn, rho_max, panels=48, quad_order=10):
+def green_identity_defect(coeffs, jump, u_fn, phi_fn, rho_max):
     """Oracle for the jump operator: for smooth u (plus side) and phi,
 
         <u, P* phi> - <P u, phi>  over rho > 0   vs   <J gamma u, gamma phi>.
 
     `coeffs` are the collar coefficients A_k as PolyMat1 in rho; u_fn/phi_fn
     map (rho, order) to arrays of D^j-free classical jets (order+1, N).
-    Returns the absolute defect.
+    Returns the absolute defect; the integral is 10-point Gauss-Legendre on
+    48 equal panels.
     """
     m = len(coeffs) - 1
     adjoint = formal_adjoint(coeffs)
-    x, w = np.polynomial.legendre.leggauss(quad_order)
-    edges = np.linspace(0.0, rho_max, panels + 1)
+    x, w = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(0.0, rho_max, 49)
     total = 0.0 + 0j
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

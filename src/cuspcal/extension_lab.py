@@ -19,12 +19,12 @@ from .errors import (
     UCPViolated,
 )
 from .linalg import (
+    DEFAULT_RANK_TOL,
     SubspaceBasis,
     as_matrix,
     check_gram,
     direct_sum_check,
     fro,
-    gram_adjoint,
     nullspace,
     orth_projector,
     subspace_distance,
@@ -75,11 +75,11 @@ class AbstractBVP:
         return np.flatnonzero(~self.mask_plus)
 
 
-def boundary_space(bvp, T=None, rank_tol=1e-8):
+def boundary_space(bvp, T=None):
     """Basis of gamma(ker T)."""
     t = bvp.T if T is None else as_matrix(T, "T")
     kernel = nullspace(t)
-    return SubspaceBasis.from_span(bvp.gamma @ kernel, rank_tol=rank_tol)
+    return SubspaceBasis.from_span(bvp.gamma @ kernel)
 
 
 def augment(t, gram_domain=None, gram_codomain=None):
@@ -103,7 +103,7 @@ class ModifyShadowResult:
     shadow: SubspaceBasis
 
 
-def modify_shadow(bvp, rank_tol=1e-8, check_tol=1e-8):
+def modify_shadow(bvp):
     """Add the gram-orthogonal projector onto ker T /\\ ker gamma.
 
     Certifies the two modification identities: the boundary data space is
@@ -111,23 +111,23 @@ def modify_shadow(bvp, rank_tol=1e-8, check_tol=1e-8):
     """
     t, gamma = bvp.T, bvp.gamma
     shadow_vecs = nullspace(np.vstack([t, gamma]))
-    shadow = SubspaceBasis.from_span(shadow_vecs, rank_tol=rank_tol)
+    shadow = SubspaceBasis.from_span(shadow_vecs)
     if shadow.dim == 0:
         return ModifyShadowResult(t.copy(), np.zeros_like(t), shadow)
-    rg_t = SubspaceBasis.from_span(t, rank_tol=rank_tol)
+    rg_t = SubspaceBasis.from_span(t)
     if rg_t.dim + shadow.dim > bvp.dim:
         raise SideConditionViolated("rg Pi meets rg T (dimension count)")
     if rg_t.dim:
         concat = np.hstack([rg_t.orthonormal(), shadow.orthonormal()])
         s = np.linalg.svd(concat, compute_uv=False)
-        if s[-1] <= check_tol:
+        if s[-1] <= DEFAULT_RANK_TOL:
             raise SideConditionViolated(
                 f"rg Pi /\\ rg T != 0 (gap {s[-1]:.3e})")
     pi = orth_projector(shadow, bvp.gram).matrix
     t_mod = t + pi
     before = boundary_space(bvp)
     after = boundary_space(bvp, T=t_mod)
-    if before.dim != after.dim or subspace_distance(before, after) > check_tol:
+    if before.dim != after.dim or subspace_distance(before, after) > DEFAULT_RANK_TOL:
         raise SideConditionViolated("boundary space changed under modification")
     if nullspace(np.vstack([t_mod, gamma])).shape[1] != 0:
         raise SideConditionViolated("modified operator still has shadow kernel")
@@ -140,39 +140,34 @@ class PerturbReport:
     min_sv: float
 
 
-def _check_sa_and_proj(t, pi, gram, tol=1e-8):
-    g = check_gram(gram) if gram is not None else np.eye(t.shape[0], dtype=complex)
-    if fro(t - gram_adjoint(t, g)) > tol * max(1.0, fro(t)):
-        raise ValueError("T is not gram-self-adjoint")
-    if fro(pi @ pi - pi) > tol * max(1.0, fro(pi)):
-        raise ValueError("Pi is not a projection")
-    if fro(pi - gram_adjoint(pi, g)) > tol * max(1.0, fro(pi)):
-        raise ValueError("Pi is not gram-orthogonal")
-
-
-def _perturb(t, pi, alpha, gram, unit):
-    """T + unit alpha Pi and its smallest singular value."""
+def _perturb(t, pi, alpha, unit):
+    """T + unit alpha Pi and its smallest singular value, for a self-adjoint
+    T and an orthogonal projector Pi (each to 1e-8 relative)."""
     t = as_matrix(t, "T")
     pi = as_matrix(pi, "Pi")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    _check_sa_and_proj(t, pi, gram)
+    for defect, of, message in ((t - t.conj().T, t, "T is not self-adjoint"),
+                                (pi @ pi - pi, pi, "Pi is not a projection"),
+                                (pi - pi.conj().T, pi, "Pi is not orthogonal")):
+        if fro(defect) > 1e-8 * max(1.0, fro(of)):
+            raise ValueError(message)
     m = t + unit * alpha * pi
     return PerturbReport(m, float(np.linalg.svd(m, compute_uv=False)[-1]))
 
 
-def perturb_real(t, pi, alpha, gram=None):
+def perturb_real(t, pi, alpha):
     """T + alpha Pi with an invertibility certificate (smallest singular
     value); invertible when rg T (+) rg Pi is the whole space."""
-    return _perturb(t, pi, alpha, gram, 1)
+    return _perturb(t, pi, alpha, 1)
 
 
-def perturb_imag(t, pi, alpha, gram=None):
+def perturb_imag(t, pi, alpha):
     """T + i alpha Pi; invertible iff rg T + rg Pi is the whole space."""
-    return _perturb(t, pi, alpha, gram, 1j)
+    return _perturb(t, pi, alpha, 1j)
 
 
-def complement_in_minus(k, bvp, chi, support_tol=1e-8):
+def complement_in_minus(k, bvp, chi):
     """W = chi^2 K, a minus-supported complement of the gram-orthocomplement
     of K.
 
@@ -192,7 +187,7 @@ def complement_in_minus(k, bvp, chi, support_tol=1e-8):
         minus = bvp.minus_indices()
         restricted = q[minus]
         s = np.linalg.svd(restricted, compute_uv=False) if minus.size else np.zeros(1)
-        if minus.size == 0 or s[-1] <= support_tol:
+        if minus.size == 0 or s[-1] <= 1e-8:
             raise UCPViolated(
                 "a kernel vector is supported entirely on the plus side")
         try:

@@ -25,6 +25,7 @@ from .errors import (
     SolveFailure,
 )
 from .linalg import (
+    DEFAULT_RANK_TOL,
     SubspaceBasis,
     direct_sum_check,
     projector_from_pair,
@@ -41,8 +42,8 @@ class Fibre:
     def __post_init__(self):
         if self.kind not in ("point", "interval"):
             raise ValueError(f"unknown fibre kind {self.kind!r}")
-        if self.kind == "interval" and self.length <= 0:
-            raise ValueError("interval fibre needs positive length")
+        if self.kind == "interval" and not 0 < self.length < math.inf:
+            raise ValueError("interval fibre needs a finite positive length")
 
 
 class ModelOperator:
@@ -55,7 +56,7 @@ class ModelOperator:
     """
 
     def __init__(self, order, system_size, base_dim, fibre, coefficients,
-                 geometry="StripHyperbolic", rank_tol=1e-8):
+                 geometry="StripHyperbolic"):
         self.order = int(order)
         self.system_size = int(system_size)
         self.base_dim = int(base_dim)
@@ -87,7 +88,7 @@ class ModelOperator:
         zs = np.linspace(0.0, self.fibre.length, 33) if self.fibre.kind == "interval" else np.array([0.0])
         vals = lead.at_x0().eval(zs)
         sv = np.linalg.svd(vals, compute_uv=False)
-        if np.min(sv[..., -1]) <= rank_tol * max(1.0, np.max(sv[..., 0])):
+        if np.min(sv[..., -1]) <= DEFAULT_RANK_TOL * max(1.0, np.max(sv[..., 0])):
             raise ValueError("a_{m,0,0}(0, z) is singular on the fibre")
         self._families = {}  # normal families by side, see _plus_family
 
@@ -104,7 +105,7 @@ class FibreODE:
     """
 
     def __init__(self, order, system_size, interval, coeffs, mu=None,
-                 extra_potential=None, rank_tol=1e-8):
+                 extra_potential=None):
         order, n = int(order), int(system_size)
         if len(coeffs) != order + 1:
             raise ValueError("need coefficients A_0..A_m")
@@ -112,7 +113,7 @@ class FibreODE:
         for beta, c in enumerate(coeffs):
             table[: c.degree + 1, 0, beta] = c.coeffs
         family = _NormalFamily(order, n, interval, [(0, 0)], table, extra_potential)
-        _check_leading(family, rank_tol)
+        _check_leading(family)
         self._bind(family, mu, (1.0,), list(coeffs))
 
     def _bind(self, family, mu, weights, coeffs=None):
@@ -235,12 +236,12 @@ class _NormalFamily:
         return self._layouts[key]
 
 
-def _check_leading(family, rank_tol=1e-8):
+def _check_leading(family):
     """ValueError unless A_m is invertible at 33 points of the fibre. A_m
     carries no mu, so this runs once per family."""
     zs = np.linspace(*family.interval, 33)
     sv = np.linalg.svd(horner(family.table[:, 0, -1], zs), compute_uv=False)
-    if np.min(sv[..., -1]) <= rank_tol * max(1.0, np.max(sv[..., 0])):
+    if np.min(sv[..., -1]) <= DEFAULT_RANK_TOL * max(1.0, np.max(sv[..., 0])):
         raise ValueError("leading ODE coefficient is singular on the fibre")
 
 
@@ -427,22 +428,22 @@ def propagate_jet(ode, jet_lo, rtol=1e-11, atol=1e-13, method="DOP853"):
     return sol.y[:, -1]
 
 
-def _data_space(ode, side, rank_tol):
+def _data_space(ode, side):
     """Boundary-data basis of one side of the doubled fibre, ordered
     (jet at z=0, jet at z=L), and its collocation certificates."""
     lo, hi, certs = _collocated_jets(ode, side)
     stacked = np.vstack([lo, hi] if side == "plus" else [hi, lo])
-    basis = SubspaceBasis.from_span(stacked, rank_tol=rank_tol)
+    basis = SubspaceBasis.from_span(stacked)
     if basis.dim != ode.dim:
         raise RankDeficient(
             f"{side}-side jet map lost rank: {basis.dim} < {ode.dim}")
     return basis, certs
 
 
-def boundary_data_space(ode, rank_tol=1e-8):
+def boundary_data_space(ode):
     """Basis of B+(mu) = {gamma u : N(P)(mu) u = 0} in C^{2mN}, data ordered
     (jet at z_lo, jet at z_hi) with the single global D_z convention."""
-    return _data_space(ode, "plus", rank_tol)[0]
+    return _data_space(ode, "plus")[0]
 
 
 @dataclass(frozen=True)
@@ -500,13 +501,13 @@ class FibreExtension:
         return _minus_family(op, self).at(tau, eta)
 
 
-def minus_boundary_data_space(ext, op, mu, rank_tol=1e-8):
+def minus_boundary_data_space(ext, op, mu):
     """Basis of B-(mu): boundary data at {0, L} of solutions on the minus
     side of the doubled fibre, read as limits from the minus side.
 
     Data ordering matches boundary_data_space: (jet at z=0+~2L, jet at z=L).
     """
-    return _data_space(ext.minus_ode(op, mu), "minus", rank_tol)[0]
+    return _data_space(ext.minus_ode(op, mu), "minus")[0]
 
 
 @dataclass(frozen=True)
@@ -515,7 +516,7 @@ class UcpReport:
     min_sv: float
 
 
-def ucp_check(ode, rank_tol=1e-8):
+def ucp_check(ode):
     """Shadow-solution dimension of the fibre ODE (zero for the model class
     by ODE uniqueness): d minus the rank of the stacked end jets [lo; hi] of
     a collocated solution basis. The conditioning report min_sv is the
@@ -524,7 +525,7 @@ def ucp_check(ode, rank_tol=1e-8):
     the solution data, which does not depend on the basis chosen."""
     lo, hi, _ = _collocated_jets(ode, "plus")
     u, s, _ = np.linalg.svd(np.vstack([lo, hi]), full_matrices=False)
-    rank = int(np.sum(s > rank_tol * s[0]))
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0]))
     return UcpReport(ode.dim - rank, float(np.linalg.norm(u[: ode.dim], -2)))
 
 
@@ -545,21 +546,21 @@ def range_solution_residual(ode, projector, rtol=1e-11):
     return worst
 
 
-def normal_calderon(op, mu, ext, gap_tol=1e-8, rank_tol=1e-8):
+def normal_calderon(op, mu, ext):
     """Normal-family Calderon projector at mu: projector_from_pair of the
     plus and minus boundary-data spaces of the doubled extension, carrying
-    as certificates the direct-sum gap and, over both sides, the worst
+    as certificates its direct-sum gap and, over both sides, the worst
     Chebyshev tail and the worst panel collocation residual (reported only,
     no bound)."""
-    bp, certs_p = _data_space(normal_operator(op, mu), "plus", rank_tol)
-    bm, certs_m = _data_space(ext.minus_ode(op, mu), "minus", rank_tol)
-    report = direct_sum_check(bp, bm, tol=gap_tol)
-    if not report.is_direct_sum:
+    bp, certs_p = _data_space(normal_operator(op, mu), "plus")
+    bm, certs_m = _data_space(ext.minus_ode(op, mu), "minus")
+    try:
+        proj = projector_from_pair(bp, bm)
+    except NotComplementary as exc:
         raise NotComplementary("B+ and B- are not complementary",
-                               gap=report.gap, mu=mu)
-    return replace(projector_from_pair(bp, bm),
-                   certs={"gap": report.gap,
-                          **{key: max(certs_p[key], certs_m[key]) for key in certs_p}})
+                               gap=exc.gap, mu=mu) from None
+    return replace(proj, certs={**proj.certs, **{key: max(certs_p[key], certs_m[key])
+                                                 for key in certs_p}})
 
 
 @dataclass(frozen=True)
@@ -575,7 +576,7 @@ class ScanReport:
     failing: list
 
 
-def full_ellipticity_scan(op, mu_grid, ext=None, tol=1e-6):
+def full_ellipticity_scan(op, mu_grid, ext=None):
     """Invertibility of the normal family over a mu grid.
 
     Point fibres: N(P)(mu) is a matrix, so a singular-value check. Interval
@@ -598,5 +599,5 @@ def full_ellipticity_scan(op, mu_grid, ext=None, tol=1e-6):
         else:
             bp = boundary_data_space(normal_operator(op, mu_t))
             sv = direct_sum_check(bp, minus_boundary_data_space(ext, op, mu_t)).gap
-        rows.append(ScanRow(mu_t, sv, bool(sv > tol)))
+        rows.append(ScanRow(mu_t, sv, bool(sv > 1e-6)))
     return ScanReport(rows, [r.mu for r in rows if not r.invertible])

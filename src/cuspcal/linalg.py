@@ -57,10 +57,10 @@ def gram_adjoint(a, gram):
     return np.linalg.solve(g, a.conj().T @ g)
 
 
-def check_gram(gram, tol=1e-10):
+def check_gram(gram):
     """Validate a Hermitian positive definite inner-product matrix."""
     g = as_matrix(gram, "gram")
-    if fro(g - g.conj().T) > tol * max(1.0, fro(g)):
+    if fro(g - g.conj().T) > 1e-10 * max(1.0, fro(g)):
         raise GramNotPD("gram matrix is not Hermitian")
     try:
         sla.cholesky(0.5 * (g + g.conj().T), lower=True)
@@ -69,13 +69,13 @@ def check_gram(gram, tol=1e-10):
     return g
 
 
-def nullspace(a, rtol=1e-10):
+def nullspace(a):
     """Orthonormal basis of the numerical null space (columns)."""
     a = as_matrix(a)
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > rtol * (s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
     return vh[rank:].conj().T
 
 
@@ -202,7 +202,7 @@ class DirectSumReport:
     gap: float
 
 
-def direct_sum_check(u, v, tol=DEFAULT_RANK_TOL):
+def direct_sum_check(u, v):
     """Check U (+) V = ambient; gap is the smallest singular value of the
     concatenated orthonormalized bases."""
     if u.ambient_dim != v.ambient_dim:
@@ -216,12 +216,15 @@ def direct_sum_check(u, v, tol=DEFAULT_RANK_TOL):
     m = np.hstack([u.orthonormal(), v.orthonormal()])
     s = np.linalg.svd(m, compute_uv=False)
     gap = float(s[-1])
-    return DirectSumReport(bool(k == n and gap > tol), gap)
+    return DirectSumReport(bool(k == n and gap > DEFAULT_RANK_TOL), gap)
 
 
-def projector_from_pair(range_basis, kernel_basis, tol=None):
+def projector_from_pair(range_basis, kernel_basis):
     """Projector with the given range and kernel: [R|K] diag(I,0) [R|K]^-1,
-    real when both bases are."""
+    real when both bases are. The pair is complementary when the smallest
+    singular value of [R|K] (orthonormalized) exceeds the larger rank_tol of
+    the two bases times the largest; `certs["gap"]` is that smallest value
+    (1 when one basis is trivial)."""
     if range_basis.ambient_dim != kernel_basis.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = range_basis.ambient_dim
@@ -230,29 +233,26 @@ def projector_from_pair(range_basis, kernel_basis, tol=None):
         raise NotComplementary(
             f"range dim {r} + kernel dim {k} != ambient dim {n}", gap=0.0
         )
-    if tol is None:
-        tol = max(range_basis.rank_tol, kernel_basis.rank_tol)
     dtype = np.result_type(range_basis.basis, kernel_basis.basis)
-    if r == 0:
-        return Projector(np.zeros((n, n), dtype=dtype), 0.0, range_basis, kernel_basis)
-    if k == 0:
-        return Projector(np.eye(n, dtype=dtype), 0.0, range_basis, kernel_basis)
+    if r == 0 or k == 0:
+        c = np.eye(n, dtype=dtype) if r else np.zeros((n, n), dtype=dtype)
+        return Projector(c, 0.0, range_basis, kernel_basis, {"gap": 1.0})
     qr_ = range_basis.orthonormal()
     qk = kernel_basis.orthonormal()
     m = np.hstack([qr_, qk])
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= tol * s[0]:
+    gap = float(s[-1])
+    if s[-1] <= max(range_basis.rank_tol, kernel_basis.rank_tol) * s[0]:
         raise NotComplementary(
-            "concatenated range/kernel basis is numerically singular", gap=float(s[-1])
-        )
+            "concatenated range/kernel basis is numerically singular", gap=gap)
     minv = np.linalg.solve(m, np.eye(n, dtype=dtype))
     c = qr_ @ minv[:r]
-    return Projector(c, idempotence_defect(c), range_basis, kernel_basis)
+    return Projector(c, idempotence_defect(c), range_basis, kernel_basis, {"gap": gap})
 
 
-def orth_projector(u, gram, herm_tol=1e-10):
+def orth_projector(u, gram):
     """Gram-orthogonal projector onto span(U): C = U (U*GU)^-1 U*G."""
-    g = check_gram(gram, herm_tol)
+    g = check_gram(gram)
     if u.ambient_dim != g.shape[0]:
         raise ValueError("gram dimension mismatch")
     n = u.ambient_dim

@@ -13,9 +13,10 @@ import numpy as np
 from .linalg import SubspaceBasis, projector_from_pair
 
 
-def durand_kerner(coeffs, tol=1e-14, max_iter=400):
+def durand_kerner(coeffs):
     """All roots of a scalar polynomial sum_k c[k] z^k (ascending, c[-1]!=0)
-    by the Durand-Kerner simultaneous iteration."""
+    by the Durand-Kerner simultaneous iteration: at most 400 sweeps, until
+    the largest step is below 1e-14 relative."""
     c = np.asarray(coeffs, dtype=complex)
     if c.size < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -33,7 +34,7 @@ def durand_kerner(coeffs, tol=1e-14, max_iter=400):
             out = out * z + ck
         return out
 
-    for _ in range(max_iter):
+    for _ in range(400):
         num = poly(roots)
         den = np.ones_like(roots)
         for i in range(deg):
@@ -41,19 +42,19 @@ def durand_kerner(coeffs, tol=1e-14, max_iter=400):
             den[i] = np.prod(roots[i] - others)
         step = num / den
         roots = roots - step
-        if np.max(np.abs(step)) < tol * max(1.0, np.max(np.abs(roots))):
+        if np.max(np.abs(step)) < 1e-14 * max(1.0, np.max(np.abs(roots))):
             break
     return roots
 
 
-def half_plane_projector_from_roots(coeffs, tol=1e-10):
+def half_plane_projector_from_roots(coeffs):
     """Projector onto boundary data of decaying solutions of a scalar
     constant-coefficient ODE sigma(D_t) v = 0 from its polynomial roots:
     range spanned by Vandermonde vectors (1, r, ..., r^{m-1}) with Im r > 0,
     kernel by those with Im r < 0."""
     roots = durand_kerner(coeffs)
     deg = len(roots)
-    if np.min(np.abs(roots.imag)) < tol:
+    if np.min(np.abs(roots.imag)) < 1e-10:
         raise ValueError("a root sits on the real axis")
     vand = np.vander(roots, deg, increasing=True).T
     upper = vand[:, roots.imag > 0]

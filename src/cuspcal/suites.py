@@ -119,15 +119,15 @@ class SuiteResult:
         return f"[{self.index:02d} {self.name}] {status}: {self.message}"
 
 
-def _laplace_symbol(base_dim, fibre_codim, fibre_scale=1.0):
-    """tau^2 + |eta|^2 + fibre_scale^2 |zeta'|^2."""
+def _laplace_symbol(base_dim, fibre_codim):
+    """tau^2 + |eta|^2 + |zeta'|^2."""
     coeffs = {(2, (0,) * base_dim, (0,) * fibre_codim): 1.0}
     for i in range(base_dim):
         alpha = tuple(2 if j == i else 0 for j in range(base_dim))
         coeffs[(0, alpha, (0,) * fibre_codim)] = 1.0
     for i in range(fibre_codim):
         beta = tuple(2 if j == i else 0 for j in range(fibre_codim))
-        coeffs[(0, (0,) * base_dim, beta)] = fibre_scale**2
+        coeffs[(0, (0,) * base_dim, beta)] = 1.0
     return PolyMatrixSymbol(2, 1, base_dim, fibre_codim, coeffs)
 
 
@@ -462,14 +462,15 @@ def c09_path_agreement(cfg):
                       f"idem <= {idem_bar:.0e}: {idem_ok}")
 
 
-def _gaussian_test_fn(rng, decay=1.5):
+def _gaussian_test_fn(rng):
+    """A random cubic times exp(-1.5 rho^2), as jets (order + 1, 1)."""
     deg = 3
     coeffs = (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
 
     def fn(rho, order):
         jet_rho = Jet.variable(rho, order)
         poly = poly_on_jet(coeffs, jet_rho)
-        gauss = (jet_rho * jet_rho * (-decay)).exp()
+        gauss = (jet_rho * jet_rho * (-1.5)).exp()
         return (poly * gauss).derivatives()[:, None]
 
     return fn

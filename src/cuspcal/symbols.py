@@ -9,8 +9,6 @@ named tau and becomes D_t in the symbol ODE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import ztrsyl
@@ -19,6 +17,7 @@ from ._poly import block_companion
 from .errors import (GraphConditionFailed, NotInvertible, SolveFailure,
                      SpectrumNearAxis, ZeroCovector)
 from .linalg import (
+    DEFAULT_RANK_TOL,
     Projector,
     SubspaceBasis,
     as_matrix,
@@ -29,21 +28,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Covector:
-    """(tau, eta, zeta'): transversal, base and tangential-fibre covariables."""
-
-    tau: float
-    eta: tuple = ()
-    zeta_prime: tuple = ()
-
-    def tangential(self):
-        return np.array(list(self.eta) + list(self.zeta_prime), dtype=float)
-
-
 def _tangential(xi_prime):
-    if isinstance(xi_prime, Covector):
-        return xi_prime.tangential()
     t = np.atleast_1d(np.asarray(xi_prime, dtype=float))
     if t.ndim != 1:
         raise ValueError("xi_prime must be a flat covector")
@@ -58,8 +43,7 @@ class PolyMatrixSymbol:
     reduction of the symbol ODE).
     """
 
-    def __init__(self, order, system_size, base_dim, fibre_codim, coefficients,
-                 rank_tol=1e-8):
+    def __init__(self, order, system_size, base_dim, fibre_codim, coefficients):
         self.order = int(order)
         self.system_size = int(system_size)
         self.base_dim = int(base_dim)
@@ -87,7 +71,7 @@ class PolyMatrixSymbol:
         if lead is None:
             raise ValueError("leading tau-coefficient a_{m,0,0} is missing")
         s = np.linalg.svd(lead, compute_uv=False)
-        if s[-1] <= rank_tol * s[0]:
+        if s[-1] <= DEFAULT_RANK_TOL * s[0]:
             raise ValueError("leading tau-coefficient a_{m,0,0} is singular")
 
     def _lead_key(self):
@@ -210,16 +194,16 @@ def _half_plane_projector(sym, xi_prime, sign, idem_tol):
     return Projector(c, defect, SubspaceBasis(n, zr), SubspaceBasis(n, z[:, k:] - zr @ w))
 
 
-def dn_symbol(sym, xi_prime, normal_orientation=1, graph_tol=1e-8, idem_tol=1e-12):
+def dn_symbol(sym, xi_prime, normal_orientation=1):
     """Dirichlet-to-Neumann principal symbol of a second-order scalar symbol;
     see dn_from_projector."""
     if sym.order != 2 or sym.system_size != 1:
         raise ValueError("dn_symbol requires a scalar second-order symbol")
-    c = calderon_symbol(sym, xi_prime, idem_tol=idem_tol)
-    return dn_from_projector(c, normal_orientation, graph_tol)
+    c = calderon_symbol(sym, xi_prime)
+    return dn_from_projector(c, normal_orientation)
 
 
-def dn_from_projector(c, normal_orientation=1, graph_tol=1e-8):
+def dn_from_projector(c, normal_orientation=1):
     """DN value of the Calderon projector c of a scalar second-order symbol.
 
     Extracts lambda with range(c) = span{(1, lambda)} and converts D_t-data
@@ -234,29 +218,26 @@ def dn_from_projector(c, normal_orientation=1, graph_tol=1e-8):
             f"range dimension {None if rng is None else rng.dim} != 1"
         )
     v = rng.basis[:, 0]
-    if abs(v[0]) <= graph_tol * np.linalg.norm(v):
+    if abs(v[0]) <= 1e-8 * np.linalg.norm(v):
         raise GraphConditionFailed("Dirichlet component of the range vanishes")
     lam = v[1] / v[0]
     return complex(-1j * lam * normal_orientation)
 
 
-def orthogonalize(c, gram, pre_tol=1e-8, inv_tol=1e-12):
+def orthogonalize(c, gram):
     """Gram-orthogonal projector with the same range: C (I + C - C*)^-1."""
     if isinstance(c, Projector):
-        if c.idem_defect > pre_tol:
-            raise ValueError(f"input idempotence defect {c.idem_defect:.3e} too large")
-        cm = c.matrix
-        rng = c.range_basis
+        cm, rng, defect = c.matrix, c.range_basis, c.idem_defect
     else:
         cm = as_matrix(c, "C")
-        if idempotence_defect(cm) > pre_tol:
-            raise ValueError("input is not a projector within tolerance")
-        rng = None
+        rng, defect = None, idempotence_defect(cm)
+    if defect > 1e-8:
+        raise ValueError(f"input idempotence defect {defect:.3e} too large")
     g = check_gram(gram)
     cstar = gram_adjoint(cm, g)
     m = np.eye(cm.shape[0], dtype=complex) + cm - cstar
     s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] <= inv_tol * s[0]:
+    if s[-1] <= 1e-12 * s[0]:
         raise NotInvertible("I + C - C* is numerically singular")
     co = cm @ np.linalg.solve(m, np.eye(cm.shape[0], dtype=complex))
     return Projector(co, idempotence_defect(co), range_basis=rng)
@@ -285,8 +266,7 @@ def _multinomial(exps):
     return out
 
 
-def random_elliptic_symbol(seed, order=None, system_size=None, base_dim=None,
-                           fibre_codim=None, lower_order=True):
+def random_elliptic_symbol(seed, order=None, system_size=None, lower_order=True):
     """Seeded random elliptic symbol.
 
     Even orders build the principal part as S(xi)* S(xi) + 0.1 |xi|^m I with
@@ -303,8 +283,8 @@ def random_elliptic_symbol(seed, order=None, system_size=None, base_dim=None,
         b = 0
         f1 = 1
     else:
-        b = int(base_dim) if base_dim is not None else int(rng.integers(0, 2))
-        f1 = int(fibre_codim) if fibre_codim is not None else int(rng.integers(1, 3))
+        b = int(rng.integers(0, 2))
+        f1 = int(rng.integers(1, 3))
     d = 1 + b + f1
 
     def key_of(exp):
@@ -366,16 +346,16 @@ def random_elliptic_symbol(seed, order=None, system_size=None, base_dim=None,
     return sym
 
 
-def _real_axis_margin(sym, rng, sphere_samples=24, tau_samples=33):
+def _real_axis_margin(sym, rng):
     """min over a (tau, xi') sample of sigma_min of the full symbol on the
-    real axis, xi' on the unit sphere."""
+    real axis: 24 directions xi' on the unit sphere, 33 tau each."""
     t_dim = sym.base_dim + sym.fibre_codim
-    dirs = rng.standard_normal((sphere_samples, t_dim))
+    dirs = rng.standard_normal((24, t_dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     margin = np.inf
     for t in dirs:
         radius = _companion_radius(sym, t)
-        taus = np.linspace(-radius, radius, tau_samples)
+        taus = np.linspace(-radius, radius, 33)
         sv = np.linalg.svd(sym.eval(taus, t), compute_uv=False)[:, -1]
         margin = min(margin, float(sv.min()))
     return margin

@@ -95,6 +95,35 @@ class TestParseConfig:
         path.write_text(json.dumps(doc))
         assert main(["normal", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("path,edit", [
+        ("order", lambda doc: doc.update(order=True)),
+        ("system_size", lambda doc: doc.update(system_size=True)),
+        ("base_dim", lambda doc: doc.update(base_dim=False)),
+        ("weight_c", lambda doc: doc.update(weight_c=True)),
+        ("fibre.length", lambda doc: doc["fibre"].update(length=True)),
+        ("fibre.length", lambda doc: doc["fibre"].update(length=float("nan"))),
+        ("fibre.length", lambda doc: doc["fibre"].update(length=float("inf"))),
+        ("fibre.length", lambda doc: doc["fibre"].update(length=float("-inf"))),
+        ("fibre.length", lambda doc: doc["fibre"].update(length=10**400)),
+        ("coefficients[0].poly[0]",
+         lambda doc: doc["coefficients"][0]["poly"][0].__setitem__(2, True)),
+        ("coefficients[1].poly[0]",
+         lambda doc: doc["coefficients"][1]["poly"][0].__setitem__(0, False)),
+    ], ids=["order-true", "system-size-true", "base-dim-false", "weight-true",
+            "length-true", "length-nan", "length-inf", "length-minus-inf", "length-10e400",
+            "poly-value-true", "poly-degree-false"])
+    def test_bool_or_non_finite_is_input_error(self, tmp_path, capsys, path, edit):
+        # booleans used to be read as 0 or 1, a non-finite length failed
+        # later in the SVD of the coefficients, and an integer beyond the
+        # float range raised OverflowError
+        doc = json.loads(strip_config_text())
+        edit(doc)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        assert main(["symbol", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and path in err
+
     def test_integral_float_index_accepted(self):
         doc = json.loads(strip_config_text())
         doc["coefficients"][0]["k"] = float(doc["coefficients"][0]["k"])
@@ -217,11 +246,13 @@ class TestMain:
         (lambda doc: doc["run"].update(tol_overrides=[1]), ["symbol"]),
         (None, ["symbol", "--tol-override", "no_such_tol=1"]),
         (lambda doc: doc["run"].update(tol_overrides={"no_such_tol": 1.0}), ["verify"]),
+        (lambda doc: doc["coefficients"][1]["poly"][0].__setitem__(2, 10**400), ["symbol"]),
+        (lambda doc: doc["run"].update(xi=[10**400]), ["symbol"]),
     ], ids=["ns-63", "S-3", "system-size-0", "nan-coefficient", "negative-degree",
             "xi-0", "xi-not-a-number", "tol-not-a-number", "tau-steps-negative",
             "nz-fraction", "nz-string", "seed-string", "seed-fraction", "seed-negative",
             "xi-scalar", "xi-empty", "tol-string", "tol-list", "tol-unknown-flag",
-            "tol-unknown-config"])
+            "tol-unknown-config", "coefficient-10e400", "xi-10e400"])
     def test_input_edge_is_input_error(self, tmp_path, capsys, edit, argv):
         doc = json.loads(strip_config_text())
         if edit is not None:

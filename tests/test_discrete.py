@@ -25,7 +25,7 @@ from cuspcal.discrete import (
 )
 from cuspcal.errors import GeometryMismatch, NotComplementary, SolveFailure, TraceUnstable
 from cuspcal.fibre import Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
-from cuspcal.linalg import SubspaceBasis, fro, idempotence_defect
+from cuspcal.linalg import SubspaceBasis, direct_sum_check, fro, idempotence_defect
 from cuspcal.symbols import PolyMatrixSymbol, calderon_symbol
 
 
@@ -372,7 +372,7 @@ def doubled_strip(coefficients, n, nz=None):
     return double_geometry(grid, discretize(op, grid), bump=ext.bump)
 
 
-def lu_oracle(dop, trace_degree=None, rank_tol=1e-10):
+def lu_oracle(dop, trace_degree=None):
     """Strip path A by a complex sparse LU of each whole body, solving for
     every unknown: the oracle of the sweep and of the mode route."""
     m, p, layout = discrete._strip_setup(dop, trace_degree)
@@ -394,7 +394,7 @@ def lu_oracle(dop, trace_degree=None, rank_tol=1e-10):
         rows, stability = discrete._jet_rows(u, grid.hz, m, p, side)
         return np.concatenate(rows), {"trace_stability": stability}
 
-    return discrete._path_from_spans(dop, side_span, layout, rank_tol)
+    return discrete._path_from_spans(dop, side_span, layout)
 
 
 # s-separable: x-independent coefficients, even powers of x^2 D_x only
@@ -438,8 +438,8 @@ class TestStripRoutes:
     def test_mode_route_matches_lu_route(self, name, n):
         dop = doubled_strip(SEPARABLE[name], n)
         assert bool(np.any(dop.matrix.data.imag)) == (name == "complex")
-        modes = _path_spaces_modes(dop, None, 1e-10)
-        sweep = _path_spaces_sweep(dop, None, 1e-10)
+        modes = _path_spaces_modes(dop, None)
+        sweep = _path_spaces_sweep(dop, None)
         assert relative_gap(modes, sweep) <= 1e-11
         assert relative_gap(modes, lu_oracle(dop)) <= 1e-11
         assert modes.layout["n_int"] == sweep.layout["n_int"] == n - 1
@@ -453,7 +453,7 @@ class TestStripRoutes:
         ("x-dependent", 16, 16, 7)])
     def test_sweep_matches_lu_oracle(self, name, ns, nz, degree):
         dop = doubled_strip(NOT_SEPARABLE[name], ns, nz)
-        sweep = _path_spaces_sweep(dop, degree, 1e-10)
+        sweep = _path_spaces_sweep(dop, degree)
         assert relative_gap(sweep, lu_oracle(dop, degree)) <= 1e-11
         assert sweep.b_plus.dim == sweep.b_minus.dim == 2 * (ns - 1)
 
@@ -500,10 +500,10 @@ class TestStripRoutes:
         assert c.dtype == np.complex128  # the D_z phase is applied to the result
         assert path.b_plus.basis.dtype == path.b_minus.basis.dtype == np.complex128
         assert relative_gap(path, lu_oracle(dop)) <= 1e-11
-        sweep = _path_spaces_sweep(dop, None, 1e-10).projector.matrix
+        sweep = _path_spaces_sweep(dop, None).projector.matrix
         np.testing.assert_array_equal(c, sweep)
         # the mode formula is wrong for these operators
-        forced = _path_spaces_modes(dop, None, 1e-10).projector.matrix
+        forced = _path_spaces_modes(dop, None).projector.matrix
         assert fro(forced - sweep) > 1e-6 * fro(sweep)
 
     @pytest.mark.parametrize("route,traces", [("modes", 4), ("sweep", 4), ("toy", 2)])
@@ -567,16 +567,31 @@ class TestStripRoutes:
         # at n = 24 the sv ratios are 0.113 (B+), 0.115 (B-), 0.111 ([B+|B-])
         (0.112, "numerically singular"),
     ])
-    def test_certificates_match_lu_route(self, rank_tol, reason):
+    def test_certificates_match_lu_route(self, rank_tol, reason, monkeypatch):
+        monkeypatch.setattr(discrete, "PATH_RANK_TOL", rank_tol)
         dop = doubled_strip(SEPARABLE["laplacian"], 24)
         errs = []
         for route in (_path_spaces_modes, _path_spaces_sweep, lu_oracle):
             with pytest.raises(NotComplementary, match=reason) as info:
-                route(dop, None, rank_tol)
+                route(dop, None)
             errs.append(info.value)
         assert str(errs[0]) == str(errs[1])
         for err in errs[1:]:
             assert err.gap == pytest.approx(errs[0].gap, rel=1e-10, abs=0.0)
+
+    def test_every_route_reports_the_gap(self):
+        # the mode route's gap is the smallest over the modes; the others
+        # take it from the SVD of the whole pair
+        dop = doubled_strip(SEPARABLE["laplacian"], 24)
+        gaps = [route(dop, None).projector.certs["gap"]
+                for route in (_path_spaces_modes, _path_spaces_sweep, lu_oracle)]
+        assert 0.0 < gaps[0] < 1.0
+        for gap in gaps[1:]:
+            assert gap == pytest.approx(gaps[0], rel=1e-10, abs=0.0)
+        grid = PhiGrid("HalfLineToy", S=6.0, ns=48)
+        toy = calderon_path_spaces(double_geometry(grid, discretize(halfline_toy(), grid)))
+        assert toy.projector.certs["gap"] == pytest.approx(
+            direct_sum_check(toy.b_plus, toy.b_minus).gap, rel=1e-10, abs=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -104,6 +104,13 @@ class TestNormalOperator:
         assert normal_operator(op, (17.0,), mu_cap=None) is not None
 
 
+class TestFibreLength:
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_finite_positive_length_required(self, length):
+        with pytest.raises(ValueError, match="finite positive length"):
+            Fibre("interval", length)
+
+
 class TestNonFiniteMu:
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_normal_operator(self, tau):
@@ -363,6 +370,10 @@ class TestNormalCalderon:
         with pytest.raises(NotComplementary) as err:
             normal_calderon(op, (0.0,), FibreExtension(1.0))
         assert err.value.mu == (0.0,)
+        # the gap of the one SVD in projector_from_pair
+        bp = boundary_data_space(normal_operator(op, (0.0,)))
+        bm = minus_boundary_data_space(FibreExtension(1.0), op, (0.0,))
+        assert err.value.gap == direct_sum_check(bp, bm).gap
 
     def test_range_residual(self):
         op = strip_laplacian()

@@ -114,6 +114,19 @@ class TestProjectorFromPair:
         with pytest.raises(NotComplementary):
             projector_from_pair(e1, e1)
 
+    def test_gap_certificate_is_the_direct_sum_gap(self):
+        rng = np.random.default_rng(6)
+        r = SubspaceBasis.from_span(random_complex(rng, 5, 2))
+        k = SubspaceBasis.from_span(random_complex(rng, 5, 3))
+        assert projector_from_pair(r, k).certs["gap"] == direct_sum_check(r, k).gap
+        e1 = SubspaceBasis(2, np.array([[1.0], [0.0]]))
+        with pytest.raises(NotComplementary) as err:
+            projector_from_pair(e1, e1)
+        assert err.value.gap == 0.0
+        empty, whole = SubspaceBasis(2, np.zeros((2, 0))), SubspaceBasis(2, np.eye(2))
+        assert projector_from_pair(empty, whole).certs == {"gap": 1.0}
+        assert projector_from_pair(whole, empty).certs == {"gap": 1.0}
+
     def test_rank_and_identity_on_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
