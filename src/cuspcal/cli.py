@@ -12,7 +12,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .discrete import (
 from .errors import CuspcalError, NotComplementary, SchemaError, SolveFailure
 from .fibre import GEOMETRIES, MU_CAP, Fibre, FibreExtension, ModelOperator, normal_calderon
 from .linalg import fro
-from .suites import CRITERIA, TOLERANCES, VerifyConfig, run_criteria, toy_path_row
+from .suites import CRITERIA, run_criteria, toy_path_row
 from .symbols import calderon_symbol, dn_from_projector
 
 
@@ -124,19 +124,10 @@ class RunConfig:
     tau_max: float = 2.0
     tau_steps: int = 8
     xi: tuple = (0.25, 1.0, 4.0)
-    tol_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.out_dir, str):
             raise SchemaError("run.out_dir", "expected a string")
-        if not isinstance(self.tol_overrides, dict):
-            raise SchemaError("run.tol_overrides", "expected an object")
-        for name, value in self.tol_overrides.items():
-            if name not in TOLERANCES:
-                raise SchemaError(f"run.tol.{name}", "unknown tolerance; known: "
-                                  + ", ".join(sorted(TOLERANCES)))
-            if not (_number(value) and 0 < value < math.inf):
-                raise SchemaError(f"run.tol.{name}", "tolerances must be finite numbers > 0")
         for name in ("tau_min", "tau_max"):
             tau = getattr(self, name)
             if not _number(tau) or not abs(tau) <= MU_CAP:
@@ -179,6 +170,10 @@ def parse_config(text):
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
+    unknown = set(doc) - {"order", "system_size", "base_dim", "geometry", "weight_c",
+                          "fibre", "coefficients", "run"}
+    if unknown:
+        raise SchemaError(sorted(unknown)[0], "unknown top-level field")
 
     def need(key, types):
         if key not in doc:
@@ -273,7 +268,7 @@ def parse_config(text):
     except (ValueError, CuspcalError) as exc:
         raise SchemaError("coefficients", str(exc)) from exc
     allowed = {"ns", "nz", "S", "seed", "tau_min", "tau_max", "tau_steps",
-               "xi", "tol_overrides", "out_dir"}
+               "xi", "out_dir"}
     unknown = set(run_doc) - allowed
     if unknown:
         raise SchemaError(f"run.{sorted(unknown)[0]}", "unknown run parameter")
@@ -442,8 +437,7 @@ def verify_all(cfg):
                 indices.append(by_name[token])
             else:
                 raise SchemaError("--suite", f"unknown suite {token!r}")
-    vcfg = VerifyConfig(seed=cfg.seed, tol_overrides=cfg.tol_overrides)
-    results = run_criteria(vcfg, indices)
+    results = run_criteria(cfg.seed, indices)
     write_suite_outputs(results, Path(cfg.out_dir))
     for r in results:
         print(r.line())
@@ -469,8 +463,6 @@ def _build_parser():
         p.add_argument("--tau-max", type=float, default=None)
         p.add_argument("--tau-steps", type=int, default=None)
         p.add_argument("--xi", default=None)
-        p.add_argument("--tol-override", action="append", default=[],
-                       metavar="NAME=VALUE")
         if name == "verify":
             p.add_argument("--suite", default="")
     return parser
@@ -480,12 +472,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         try:
-            overrides = {name: float(value) for name, _, value in
-                         (item.partition("=") for item in args.tol_override)}
             xi = None if args.xi is None else tuple(
                 float(x) for x in str(args.xi).split(",") if x)
         except ValueError as exc:
-            raise SchemaError("--tol-override/--xi", str(exc)) from exc
+            raise SchemaError("--xi", str(exc)) from exc
         op = None
         if args.config is not None:
             cfg, op = load_config(args.config)
@@ -500,7 +490,6 @@ def main(argv=None):
                 setattr(cfg, name, value)
         if xi is not None:
             cfg.xi = xi
-        cfg.tol_overrides.update(overrides)
         cfg = replace(cfg)  # re-validate after the command-line overrides
         if args.subcommand == "verify":
             status, _ = verify_all(cfg)

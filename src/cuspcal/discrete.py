@@ -59,8 +59,9 @@ def _central_stencil(der, h):
 
 @dataclass(frozen=True)
 class PhiGrid:
-    """Uniform grid in (s, z); `doubled` marks the geometry extended across
-    the BC boundary (mirror in s for 1-D, fibre circle in z for the strip)."""
+    """Uniform grid in (s, z), on the toy with the single node z = 0;
+    `doubled` marks the geometry extended across the BC boundary (mirror in
+    s for 1-D, fibre circle in z for the strip)."""
 
     geometry: str
     S: float
@@ -102,8 +103,8 @@ class PhiGrid:
         return np.linspace(1.0, self.S, self.ns + 1)
 
     def z_nodes(self):
-        if self.geometry != "StripHyperbolic":
-            return None
+        if self.geometry == "HalfLineToy":
+            return np.zeros(1)  # the toy's point fibre: the single node z = 0
         if self.doubled:
             return np.arange(2 * self.nz) * self.hz
         return np.linspace(0.0, self.L, self.nz + 1)
@@ -133,7 +134,7 @@ def discretize(op, grid):
             f"operator geometry {op.geometry} != grid geometry {grid.geometry}")
     if grid.doubled:
         raise ValueError("discretize expects the undoubled grid")
-    return _assemble(op, grid, doubled=False, bump=None)
+    return _assemble(op, grid, None)
 
 
 def double_geometry(grid, opd, bump=None):
@@ -143,136 +144,61 @@ def double_geometry(grid, opd, bump=None):
         raise ValueError("operator already doubled")
     if grid.geometry != opd.grid.geometry:
         raise GeometryMismatch("grid/operator geometry mismatch")
-    return _assemble(opd.model, grid.doubled_copy(), doubled=True, bump=bump)
+    return _assemble(opd.model, grid.doubled_copy(), bump)
 
 
-def _assemble(op, grid, doubled, bump):
-    if grid.geometry == "HalfLineToy":
-        return _assemble_toy(op, grid, doubled, bump)
-    return _assemble_strip(op, grid, doubled, bump)
-
-
-def _assemble_toy(op, grid, doubled, bump):
+def _assemble(op, grid, bump):
+    """Stencil assembly on the (s, z) node grid; the toy has the single node
+    z = 0. Unknowns are node-major, then by system component. The doubled
+    axis (s about 1 on the toy, z about L on the strip) gives the minus side
+    mirrored coefficients, the sign (-1)^r of a derivative of order r along
+    it, and the bump. Dirichlet rows fence every stencil in s, and in z on
+    the undoubled strip; the doubled strip wraps in z."""
     if op.order > 2:
         raise ValueError("second-order stencils support order <= 2")
-    n = op.system_size
-    s = grid.s_nodes()
-    npts = s.size
-    h = grid.hs
-    minus = s < 1.0
-    sc = np.where(minus, 2.0 - s, s)
-    x = 1.0 / sc
-    dirich = np.zeros(npts, dtype=bool)
-    dirich[0] = dirich[-1] = True
-    if op.order == 0:
-        dirich[:] = False
-
-    rows, cols, vals = [], [], []
-    interior = ~dirich
-    terms = {}
-    for k in range(op.order + 1):
-        pm = op.coefficients.get((k, 0, 0))
-        if pm is None:
-            continue
-        cv = pm.eval(x.astype(complex), 0.0)  # (npts, n, n)
-        sign = np.where(minus, (-1.0) ** k, 1.0)
-        cv = cv * (sign * 1.0)[:, None, None]
-        cv = cv * ((-1.0) ** k * ipow(-k))
-        terms[k] = cv
-    if bump is not None:
-        bv = np.zeros(npts)
-        bv[minus] = bump(s[minus])
-        zero = terms.setdefault(0, np.zeros((npts, n, n), dtype=complex))
-        terms[0] = zero + bv[:, None, None] * np.eye(n)
-    for k, cv in terms.items():
-        offs, st = _central_stencil(k, h)
-        for off, w in zip(offs, st):
-            ii = np.flatnonzero(interior)
-            jj = ii + off
-            ok = (jj >= 0) & (jj < npts)
-            ii, jj = ii[ok], jj[ok]
-            for a in range(n):
-                for b in range(n):
-                    rows.append(ii * n + a)
-                    cols.append(jj * n + b)
-                    vals.append(w * cv[ii, a, b])
-    di = np.flatnonzero(np.repeat(dirich, n))
-    rows.append(di)
-    cols.append(di)
-    vals.append(np.ones(di.size, dtype=complex))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(npts * n, npts * n)).tocsr()
-    return GridOperator(grid, mat, di, op)
-
-
-def _assemble_strip(op, grid, doubled, bump):
-    if op.system_size != 1:
-        raise ValueError("strip assembly supports scalar operators")
-    if op.order > 2:
-        raise ValueError("second-order stencils support order <= 2")
-    ns, nz = grid.ns, grid.nz
-    hs, hz = grid.hs, grid.hz
-    length = grid.L
-    s = grid.s_nodes()
-    z = grid.z_nodes()
+    n, toy = op.system_size, grid.geometry == "HalfLineToy"
+    s, z = grid.s_nodes(), grid.z_nodes()
     nzz = z.size
-    minus_z = z > length + 1e-12
-    zc = np.where(minus_z, 2.0 * length - z, z)
-
-    def flat(i, j):
-        return i * nzz + j
-
-    ii, jj = np.meshgrid(np.arange(ns + 1), np.arange(nzz), indexing="ij")
-    dirich = (ii == 0) | (ii == ns)
-    if not doubled:
-        dirich |= (jj == 0) | (jj == nz)
-    if op.order == 0:
-        dirich[:] = False
-    interior = ~dirich
-
-    rows, cols, vals = [], [], []
-    int_i = ii[interior]
-    int_j = jj[interior]
-    x_int = 1.0 / s[int_i]
-    zc_int = zc[int_j]
+    axis, mirror = (s, 1.0) if toy else (z, grid.L)
+    minus = axis < mirror if toy else axis > mirror + 1e-12
+    folded = np.where(minus, 2.0 * mirror - axis, axis)
+    dirich = np.zeros((s.size, nzz), dtype=bool)
+    if op.order > 0:
+        dirich[[0, -1]] = True
+        if not (toy or grid.doubled):
+            dirich[:, [0, -1]] = True
+    node_i, node_j = np.nonzero(~dirich)
+    along = node_i if toy else node_j  # index along the doubled axis
+    on_minus = minus[along]
+    x = 1.0 / (folded if toy else s)[node_i]
+    zc = z if toy else folded[node_j]  # the toy's one z node broadcasts
     terms = {}
     for (k, alpha, beta), pm in op.coefficients.items():
         if alpha != 0:
-            raise ValueError("strip operators have point base (alpha = 0)")
-        cv = pm.eval(x_int.astype(complex), zc_int.astype(complex))[:, 0, 0]
-        cv = cv * ((-1.0) ** k * ipow(-(k + beta)))
-        cv = cv * np.where(minus_z[int_j], (-1.0) ** beta, 1.0)
-        terms[(k, beta)] = terms.get((k, beta), 0) + cv
+            raise ValueError("discrete geometries have a point base (alpha = 0)")
+        cv = pm.eval(x, zc).reshape(-1, n * n) * ((-1.0) ** k * ipow(-(k + beta)))
+        terms[k, beta] = cv * np.where(on_minus, (-1.0) ** (k if toy else beta), 1.0)[:, None]
     if bump is not None:
-        bv = np.zeros(int_j.size, dtype=complex)
-        sel = minus_z[int_j]
-        bv[sel] = bump(z[int_j[sel]])
-        terms[(0, 0)] = terms.get((0, 0), 0) + bv
+        bv = np.where(minus, bump(axis), 0.0)[along]
+        terms[0, 0] = terms.get((0, 0), 0) + bv[:, None] * np.eye(n).ravel()
+    comp_a, comp_b = np.divmod(np.arange(n * n), n)
+    row = ((node_i * nzz + node_j)[:, None] * n + comp_a).ravel()
+    rows, cols, vals = [], [], []
     for (k, beta), cv in terms.items():
-        offs_s, st_s = _central_stencil(k, hs)
-        offs_z, st_z = _central_stencil(beta, hz)
-        for os_, ws in zip(offs_s, st_s):
-            ci = int_i + os_
-            ok = (ci >= 0) & (ci <= ns)
-            for oz, wz in zip(offs_z, st_z):
-                cj = int_j + oz
-                if doubled:
-                    cj = cj % nzz
-                    okz = ok
-                else:
-                    okz = ok & (cj >= 0) & (cj < nzz)
-                rows.append(flat(int_i[okz], int_j[okz]))
-                cols.append(flat(ci[okz], cj[okz]))
-                vals.append(ws * wz * cv[okz])
-    di = flat(ii[dirich], jj[dirich])
+        for os_, ws in zip(*_central_stencil(k, grid.hs)):
+            for oz, wz in zip(*_central_stencil(beta, grid.hz)):
+                col = (node_i + os_) * nzz + (node_j + oz) % nzz
+                rows.append(row)
+                cols.append((col[:, None] * n + comp_b).ravel())
+                vals.append((ws * wz * cv).ravel())
+    di = np.flatnonzero(np.repeat(dirich.ravel(), n))
     rows.append(di)
     cols.append(di)
     vals.append(np.ones(di.size, dtype=complex))
-    npts = (ns + 1) * nzz
+    size = s.size * nzz * n
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(npts, npts)).tocsr()
+        shape=(size, size)).tocsr()
     return GridOperator(grid, mat, di, op)
 
 
@@ -430,8 +356,8 @@ def _trace_degree(opd, trace_degree):
 
 def _strip_setup(opd, trace_degree):
     m = opd.model.order
-    if m != 2:
-        raise ValueError("strip path construction is implemented for order 2")
+    if m != 2 or opd.model.system_size != 1:
+        raise ValueError("strip path construction is implemented for scalar order-2 operators")
     p = _trace_degree(opd, trace_degree)
     ns = opd.grid.ns
     layout = {"geometry": "StripHyperbolic", "m": m, "N": 1, "n_int": ns - 1,

@@ -31,7 +31,9 @@ from .linalg import (
     projector_from_pair,
 )
 
-GEOMETRIES = ("HalfLineToy", "StripHyperbolic", "CuspDomain", "ExteriorToy")
+# geometry -> (fibre kind, base dimension or None for either)
+GEOMETRIES = {"HalfLineToy": ("point", 0), "StripHyperbolic": ("interval", None),
+              "ExteriorToy": ("point", None)}
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,15 @@ class ModelOperator:
         self.geometry = geometry
         if geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {geometry!r}")
+        kind, base = GEOMETRIES[geometry]
+        if self.fibre.kind != kind:
+            raise ValueError(f"{geometry} needs a {kind} fibre, got {self.fibre.kind}")
         if self.order < 0:
             raise ValueError("negative order")
         if self.base_dim not in (0, 1):
             raise ValueError("base_dim must be 0 or 1")
+        if base is not None and self.base_dim != base:
+            raise ValueError(f"{geometry} needs base_dim {base}, got {self.base_dim}")
         n = self.system_size
         self.coefficients = {}
         for key, val in coefficients.items():
@@ -457,8 +464,10 @@ class Bump:
         # a tuple of floats keeps the bump hashable: extensions key the
         # minus-side families (see _minus_family)
         object.__setattr__(self, "support", tuple(float(s) for s in self.support))
-        if self.height < 0:
-            raise ValueError("bump height must be nonnegative")
+        if not 0 <= self.height < math.inf:
+            raise ValueError(f"bump height must be finite and nonnegative, got {self.height!r}")
+        if not all(map(math.isfinite, self.support)):
+            raise ValueError(f"bump support must be finite, got {self.support!r}")
         if self.support[1] <= self.support[0]:
             raise ValueError("empty bump support")
 

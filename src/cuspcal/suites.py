@@ -8,7 +8,7 @@ reports one pass/fail line per criterion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,8 +74,7 @@ TOY_DEFAULT_S, TOY_DEFAULT_NS = 6.0, 2048
 STRIP_S, STRIP_GRIDS = 12.0, (64, 128, 256)
 
 
-# the tolerances of the criteria by name, with their defaults; a run may
-# override any of them (`--tol-override NAME=VALUE`, `run.tol_overrides`)
+# the tolerances of the criteria by name; no run can change them
 TOLERANCES = {
     "dn": 1e-10,
     "calderon_closed": 1e-10,
@@ -94,15 +93,6 @@ TOLERANCES = {
     "probe": 5e-2,
     "trace_rate": 2.0,
 }
-
-
-@dataclass
-class VerifyConfig:
-    seed: int = 12345
-    tol_overrides: dict = field(default_factory=dict)
-
-    def tol(self, name):
-        return float(self.tol_overrides.get(name, TOLERANCES[name]))
 
 
 @dataclass
@@ -145,10 +135,10 @@ def halfline_toy(q=1.0):
                          geometry="HalfLineToy")
 
 
-def c01_dn_symbol(cfg):
+def c01_dn_symbol(seed):
     """DN symbol of the Laplacian equals |xi'|."""
-    tol = cfg.tol("dn")
-    rng = np.random.default_rng(cfg.seed + 1)
+    tol = TOLERANCES["dn"]
+    rng = np.random.default_rng(seed + 1)
     rows, worst = [], 0.0
     for i in range(50):
         b = int(rng.integers(0, 2))
@@ -165,10 +155,10 @@ def c01_dn_symbol(cfg):
     return worst <= tol, rows, f"max |dn - |xi'|| = {worst:.3e} (tol {tol:.0e})"
 
 
-def c02_calderon_closed_form(cfg):
+def c02_calderon_closed_form(seed):
     """Calderon symbol of tau^2+s^2 vs the closed form and the root oracle."""
-    tol_closed = cfg.tol("calderon_closed")
-    tol_oracle = cfg.tol("calderon_oracle")
+    tol_closed = TOLERANCES["calderon_closed"]
+    tol_oracle = TOLERANCES["calderon_oracle"]
     rows, worst_c, worst_o = [], 0.0, 0.0
     for s in (0.25, 1.0, 4.0):
         sym = _laplace_symbol(0, 1)
@@ -186,15 +176,15 @@ def c02_calderon_closed_form(cfg):
                       f"oracle err {worst_o:.3e} (tol {tol_oracle:.0e})")
 
 
-def c03_complementarity(cfg):
+def c03_complementarity(seed):
     """C+ + C- = I for 200 seeded random elliptic symbols."""
-    tol = cfg.tol("complementarity")
+    tol = TOLERANCES["complementarity"]
     rows, worst = [], 0.0
     specs = [(m, n) for m in (1, 2, 3, 4) for n in (1, 2, 3)]
-    rng = np.random.default_rng(cfg.seed + 3)
+    rng = np.random.default_rng(seed + 3)
     for i in range(200):
         m, n = specs[i % len(specs)]
-        sym = random_elliptic_symbol(np.random.default_rng(cfg.seed + 300 + i),
+        sym = random_elliptic_symbol(np.random.default_rng(seed + 300 + i),
                                      order=m, system_size=n)
         t_dim = sym.base_dim + sym.fibre_codim
         xi = rng.standard_normal(t_dim)
@@ -222,12 +212,12 @@ def _random_projector(rng, n):
             return projector_from_pair(r, kk)
 
 
-def c04_orthogonalize(cfg):
+def c04_orthogonalize(seed):
     """C_o = C (I + C - C*)^-1: idempotent, gram-self-adjoint, range-equal."""
-    tol = cfg.tol("orthogonalize")
+    tol = TOLERANCES["orthogonalize"]
     rows, worst = [], 0.0
     for i in range(100):
-        rng = np.random.default_rng(cfg.seed + 400 + i)
+        rng = np.random.default_rng(seed + 400 + i)
         n = int(rng.integers(2, 9))
         c = _random_projector(rng, n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -245,13 +235,13 @@ def c04_orthogonalize(cfg):
     return worst <= tol, rows, f"max defect {worst:.3e} (tol {tol:.0e})"
 
 
-def c05_proj_inversion(cfg):
+def c05_proj_inversion(seed):
     """Both directions of the projection-perturbation lemma on 500 instances."""
-    margin = cfg.tol("proj_inversion_margin")
+    margin = TOLERANCES["proj_inversion_margin"]
     rows = []
     mis = 0
     for i in range(500):
-        rng = np.random.default_rng(cfg.seed + 500 + i)
+        rng = np.random.default_rng(seed + 500 + i)
         kind = i % 5
         n = int(rng.integers(4, 9))
         q, _ = np.linalg.qr(rng.standard_normal((n, n))
@@ -312,12 +302,12 @@ def _seeded_bvp(rng, n=10, d=3, shadow_dim=2, data_dim_kernel=2):
     return AbstractBVP(t, gamma, gram, mask)
 
 
-def c06_s4_algebra(cfg):
+def c06_s4_algebra(seed):
     """Augmentation, modification and minus-complement suites."""
-    tol = cfg.tol("s4_algebra")
+    tol = TOLERANCES["s4_algebra"]
     rows, worst = [], 0.0
     for i in range(100):
-        rng = np.random.default_rng(cfg.seed + 600 + i)
+        rng = np.random.default_rng(seed + 600 + i)
         n, d = 8, 3
         bvp = _seeded_bvp(rng, n=n, d=d, shadow_dim=1, data_dim_kernel=2)
         # augmentation: C = pi Cbar iota projects onto B_T
@@ -354,11 +344,11 @@ def c06_s4_algebra(cfg):
     return worst <= tol, rows, f"max defect {worst:.3e} (tol {tol:.0e})"
 
 
-def c07_normal_closed_forms(cfg):
+def c07_normal_closed_forms(seed):
     """Strip normal family: cosh/sinh data spaces, projector, bump behavior."""
-    tol_space = cfg.tol("normal_space")
-    tol_idem = cfg.tol("normal_idem")
-    gap_min = cfg.tol("normal_gap")
+    tol_space = TOLERANCES["normal_space"]
+    tol_idem = TOLERANCES["normal_idem"]
+    gap_min = TOLERANCES["normal_gap"]
     op = strip_laplacian()
     ext = FibreExtension.with_default_bump(1.0)
     rows, ok = [], True
@@ -411,11 +401,11 @@ def _random_fibre_operator(rng):
                          geometry="StripHyperbolic")
 
 
-def c08_ucnf(cfg):
+def c08_ucnf(seed):
     """dim_shadow = 0 for 50 seeded fibre ODEs and their formal adjoints."""
     rows, bad = [], 0
     for i in range(50):
-        rng = np.random.default_rng(cfg.seed + 800 + i)
+        rng = np.random.default_rng(seed + 800 + i)
         op = _random_fibre_operator(rng)
         tau = float(rng.uniform(-2.0, 2.0))
         ode = normal_operator(op, (tau,))
@@ -441,10 +431,10 @@ def toy_path_row(op, jump, S, ns):
     return row, pa, pb
 
 
-def c09_path_agreement(cfg):
+def c09_path_agreement(seed):
     """1-D two-path agreement: slope >= 1.7, finest gap <= 1e-5."""
-    gap_tol = cfg.tol("path_gap")
-    slope_min = cfg.tol("path_slope")
+    gap_tol = TOLERANCES["path_gap"]
+    slope_min = TOLERANCES["path_slope"]
     op = halfline_toy(q=1.0)
     jump = jump_operator(op)
     rows = [toy_path_row(op, jump, TOY_S, ns)[0] for ns in TOY_GRIDS]
@@ -454,7 +444,7 @@ def c09_path_agreement(cfg):
     # alongside the asserted convergence figures)
     row, pa, pb = toy_path_row(op, jump, TOY_DEFAULT_S, TOY_DEFAULT_NS)
     rows.append({**row, "note": "default-grid"})
-    idem_bar = cfg.tol("discrete_idem")
+    idem_bar = TOLERANCES["discrete_idem"]
     idem_ok = max(pa.idem_defect, pb.idem_defect) <= idem_bar
     ok = slope >= slope_min and gaps[-1] <= gap_tol and idem_ok
     return ok, rows, (f"slope {slope:.2f} (>= {slope_min}), finest gap "
@@ -476,12 +466,12 @@ def _gaussian_test_fn(rng):
     return fn
 
 
-def c10_green_identity(cfg):
+def c10_green_identity(seed):
     """Jump-operator Green-identity oracle on 20 seeded smooth pairs."""
-    tol = cfg.tol("green_identity")
+    tol = TOLERANCES["green_identity"]
     rows, worst = [], 0.0
     for i in range(20):
-        rng = np.random.default_rng(cfg.seed + 1000 + i)
+        rng = np.random.default_rng(seed + 1000 + i)
         m = 2 if i % 3 else 1
         coeffs = []
         for k in range(m + 1):
@@ -500,9 +490,9 @@ def c10_green_identity(cfg):
     return worst <= tol, rows, f"max pairing defect {worst:.3e} (tol {tol:.0e})"
 
 
-def c11_normal_probe(cfg):
+def c11_normal_probe(seed):
     """Strip probe vs the normal family: decreasing trend, final <= 5e-2."""
-    tol = cfg.tol("probe")
+    tol = TOLERANCES["probe"]
     op = strip_laplacian()
     ext = FibreExtension.with_default_bump(1.0)
     rows, errs = [], []
@@ -521,10 +511,10 @@ def c11_normal_probe(cfg):
                       f"monotone {trend}, final tol {tol:.0e}")
 
 
-def c12_transmission(cfg):
+def c12_transmission(seed):
     """One-sided trace stability: h^m decay on smooth data, TraceUnstable on
     a manufactured interface jump."""
-    rate_min = cfg.tol("trace_rate")
+    rate_min = TOLERANCES["trace_rate"]
     rows, stabs, hs = [], [], []
     m, p = 2, 3
     for ns in (64, 128, 256):
@@ -548,7 +538,7 @@ def c12_transmission(cfg):
     return ok, rows, f"stability slope {slope:.2f} (>= {rate_min}), jump raised {raised}"
 
 
-def c13_determinism(cfg):
+def c13_determinism(seed):
     """Byte-identical CSV output for repeated verify runs (fast subset)."""
     import tempfile
     from pathlib import Path
@@ -558,7 +548,7 @@ def c13_determinism(cfg):
     fast = [1, 2, 5, 7]
     digests = []
     for _ in range(2):
-        results = run_criteria(cfg, fast)
+        results = run_criteria(seed, fast)
         with tempfile.TemporaryDirectory() as tmp:
             write_suite_outputs(results, Path(tmp))
             blob = b"".join(
@@ -587,14 +577,14 @@ CRITERIA = (
 )
 
 
-def run_criteria(cfg, indices=None):
+def run_criteria(seed, indices=None):
     """Run the requested criteria (all by default) in fixed order."""
     results = []
     for index, name, fn in CRITERIA:
         if indices is not None and index not in indices:
             continue
         t0 = time.time()
-        passed, rows, message = fn(cfg)
+        passed, rows, message = fn(seed)
         results.append(SuiteResult(index, name, bool(passed), rows, message,
                                    time.time() - t0))
     return results

@@ -6,15 +6,15 @@ or `cuspcal verify` for the CSV reports.
 
 import pytest
 
-from cuspcal.suites import CRITERIA, VerifyConfig, run_criteria
+from cuspcal.suites import CRITERIA, run_criteria
 
-CFG = VerifyConfig()
+SEED = 12345  # the default seed of `cuspcal verify`
 
 
 @pytest.mark.parametrize("index,name,fn",
                          CRITERIA, ids=[f"{i:02d}-{n}" for i, n, _ in CRITERIA])
 def test_acceptance_criterion(index, name, fn):
-    results = run_criteria(CFG, [index])
+    results = run_criteria(SEED, [index])
     result = results[0]
     print(result.line())
     assert result.passed, result.message

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cuspcal.cli import (
-    RunConfig,
     load_config,
     main,
     parse_config,
@@ -15,7 +14,7 @@ from cuspcal.cli import (
 )
 from cuspcal.errors import SchemaError
 from cuspcal.fibre import FibreExtension
-from cuspcal.suites import TOLERANCES, VerifyConfig
+from cuspcal.suites import TOLERANCES
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -132,17 +131,28 @@ class TestParseConfig:
         _, ref = parse_config(strip_config_text())
         assert op.coefficients.keys() == ref.coefficients.keys()
 
-    def test_tolerances_positive(self):
-        with pytest.raises(SchemaError):
-            RunConfig(tol_overrides={"probe": -1.0})
+    def test_unknown_top_level_key_is_input_error(self, tmp_path, capsys):
+        # a misspelt "run" used to be ignored: this ran at the default ns
+        doc = json.loads(strip_config_text())
+        doc["rn"] = {**doc.pop("run"), "ns": 512}
+        with pytest.raises(SchemaError, match=r"^rn: unknown top-level field"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["discrete", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "rn: unknown top-level field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    def test_tolerance_names_checked(self):
-        with pytest.raises(SchemaError, match=r"run\.tol\.no_such_tol: unknown tolerance"):
-            RunConfig(tol_overrides={"no_such_tol": 1.0})
-        for name, default in TOLERANCES.items():
-            assert RunConfig(tol_overrides={name: default}).tol_overrides == {name: default}
-            assert VerifyConfig().tol(name) == default
-            assert VerifyConfig(tol_overrides={name: 0.5}).tol(name) == 0.5
+    def test_geometry_fibre_mismatch_is_input_error(self, tmp_path):
+        # the strip operator relabelled as the toy: its D_z^2 term used to be
+        # dropped by the toy assembly
+        doc = json.loads(strip_config_text())
+        doc["geometry"] = "HalfLineToy"
+        with pytest.raises(SchemaError, match="HalfLineToy needs a point fibre"):
+            parse_config(json.dumps(doc))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["discrete", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestArtifacts:
@@ -233,7 +243,6 @@ class TestMain:
         (lambda doc: doc["coefficients"][1]["poly"][0].__setitem__(1, -1), ["symbol"]),
         (None, ["symbol", "--xi", "0"]),
         (None, ["symbol", "--xi", "one"]),
-        (None, ["symbol", "--tol-override", "probe=small"]),
         (None, ["normal", "--tau-steps", "-1"]),
         (lambda doc: doc["run"].update(nz=100.5), ["discrete"]),
         (lambda doc: doc["run"].update(nz="64"), ["discrete"]),
@@ -242,17 +251,18 @@ class TestMain:
         (None, ["verify", "--seed", "-1"]),
         (lambda doc: doc["run"].update(xi=2.0), ["symbol"]),
         (None, ["symbol", "--xi", ""]),
+        # tolerances are fixed: tol_overrides is an unknown run parameter,
+        # whatever its value
         (lambda doc: doc["run"].update(tol_overrides={"dn": "x"}), ["symbol"]),
         (lambda doc: doc["run"].update(tol_overrides=[1]), ["symbol"]),
-        (None, ["symbol", "--tol-override", "no_such_tol=1"]),
         (lambda doc: doc["run"].update(tol_overrides={"no_such_tol": 1.0}), ["verify"]),
         (lambda doc: doc["coefficients"][1]["poly"][0].__setitem__(2, 10**400), ["symbol"]),
         (lambda doc: doc["run"].update(xi=[10**400]), ["symbol"]),
     ], ids=["ns-63", "S-3", "system-size-0", "nan-coefficient", "negative-degree",
-            "xi-0", "xi-not-a-number", "tol-not-a-number", "tau-steps-negative",
+            "xi-0", "xi-not-a-number", "tau-steps-negative",
             "nz-fraction", "nz-string", "seed-string", "seed-fraction", "seed-negative",
-            "xi-scalar", "xi-empty", "tol-string", "tol-list", "tol-unknown-flag",
-            "tol-unknown-config", "coefficient-10e400", "xi-10e400"])
+            "xi-scalar", "xi-empty", "tol-string", "tol-list", "tol-unknown-config",
+            "coefficient-10e400", "xi-10e400"])
     def test_input_edge_is_input_error(self, tmp_path, capsys, edit, argv):
         doc = json.loads(strip_config_text())
         if edit is not None:
@@ -263,6 +273,14 @@ class TestMain:
         assert status == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_tol_override_flag_is_argparse_error(self, tmp_path):
+        # criteria run at the fixed TOLERANCES: no flag loosens them
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "1", "--tol-override", "dn=1",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
     def test_config_out_dir_unless_flag(self, tmp_path):
@@ -340,6 +358,13 @@ class TestMain:
         assert status == 0
         assert (out / "suite_05_projection-perturbation-lemma.csv").exists()
         assert (out / "suite_06_augment-modify-complement.csv").exists()
+
+    def test_verify_exits_1_on_failed_criterion(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(TOLERANCES, "dn", 0.0)
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", "1", "--out", str(out)]) == 1
+        assert "[01 dn-symbol-laplacian] FAIL" in capsys.readouterr().out
+        assert ",false," in (out / "summary.csv").read_text()
 
     def test_verify_unknown_suite(self, tmp_path):
         status = main(["verify", "--suite", "nope", "--out",

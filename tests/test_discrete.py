@@ -145,6 +145,70 @@ class TestDoubleGeometry:
         assert fro(m - m.conj().T) <= 1e-10 * fro(m)
         assert np.linalg.eigvalsh(m)[0] > 0
 
+    def test_doubled_strip_reference_rows(self):
+        # P = (x^2 D_x)^2 + (1 + z/2) D_z^2 + 0.3i D_z with the default bump,
+        # built from 1-D stencils: -d^2/ds^2 in s; in z on the circle of 2nz
+        # nodes, the minus side (z > L) takes (-1)^beta a(2L - z) and the bump
+        op = ModelOperator(2, 1, 0, Fibre("interval", 1.0),
+                           {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (0, 1): 0.5},
+                            (0, 0, 1): 0.3j},
+                           geometry="StripHyperbolic")
+        ext = FibreExtension.with_default_bump(1.0)
+        ns, nz = 16, 16
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=ns, L=1.0, nz=nz)
+        single = discretize(op, grid)
+        dop = double_geometry(grid, single, bump=ext.bump)
+        hs, hz, nzz = grid.hs, grid.hz, 2 * nz
+        z = hz * np.arange(nzz)
+        minus = np.arange(nzz) > nz
+        zc = np.where(minus, 2.0 - z, z)
+        sign = np.where(minus, -1.0, 1.0)  # (-1)^beta for beta = 1
+        d2s = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ns + 1, ns + 1)) / hs**2
+        d2z = (np.roll(np.eye(nzz), 1, axis=1) - 2 * np.eye(nzz)
+               + np.roll(np.eye(nzz), -1, axis=1)) / hz**2
+        d1z = (np.roll(np.eye(nzz), 1, axis=1) - np.roll(np.eye(nzz), -1, axis=1)) / (2 * hz)
+        bump = np.where(minus, ext.bump(z), 0.0)
+        pz = (-(1 + zc / 2)[:, None] * d2z + (sign * 0.3j * -1j)[:, None] * d1z
+              + np.diag(bump))
+        expect = -sp.kron(d2s, np.eye(nzz)).toarray() + np.kron(np.eye(ns + 1), pz)
+        expect[:nzz] = expect[-nzz:] = 0.0
+        expect[np.r_[:nzz, (ns + 1) * nzz - nzz : (ns + 1) * nzz],
+               np.r_[:nzz, (ns + 1) * nzz - nzz : (ns + 1) * nzz]] = 1.0
+        got = dop.matrix.toarray()
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+        row = 5 * nzz  # the s line i = 5
+        j = nz + 3  # a minus-side node: D_z^2 carries a(2L - z), D_z flips sign
+        assert got[row + j, row + j + 1] == pytest.approx(-(1 + (2.0 - z[j]) / 2) / hz**2
+                                                          - 0.3 / (2 * hz))
+        assert got[row + j, row + j - 1] == pytest.approx(-(1 + (2.0 - z[j]) / 2) / hz**2
+                                                          + 0.3 / (2 * hz))
+        # the bump enters only on the minus side
+        bare = double_geometry(grid, single).matrix.toarray()
+        np.testing.assert_allclose(np.diag(got - bare)[row : row + nzz], bump, rtol=0, atol=1e-10)
+        assert np.all(bump[~minus] == 0.0) and bump[minus].max() > 0.1
+        # the row at z = 2L - hz couples to z = 0 across the closed circle
+        assert got[row + nzz - 1, row] == pytest.approx(-(1 + hz / 2) / hz**2 - 0.3 / (2 * hz))
+
+    def test_point_base_only(self):
+        # (x D_y)^alpha has no discrete stencil (the toy's point base rejects
+        # it in ModelOperator already)
+        op = ModelOperator(2, 1, 1, Fibre("interval", 1.0),
+                           {(2, 0, 0): 1.0, (0, 2, 0): 5.0, (0, 0, 2): 1.0})
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=16, L=1.0, nz=16)
+        with pytest.raises(ValueError, match="point base"):
+            discretize(op, grid)
+
+    def test_strip_system_assembles_but_path_needs_scalar(self):
+        op = ModelOperator(2, 2, 0, Fibre("interval", 1.0),
+                           {(2, 0, 0): np.eye(2), (0, 0, 2): np.diag([1.0, 2.0])})
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=16, L=1.0, nz=16)
+        dop = double_geometry(grid, discretize(op, grid))
+        scalar = double_geometry(grid, discretize(strip_laplacian(), grid))
+        # component 0 of the decoupled system is the strip Laplacian
+        np.testing.assert_array_equal(dop.matrix[::2, ::2].toarray(), scalar.matrix.toarray())
+        with pytest.raises(ValueError, match="scalar order-2"):
+            calderon_path_spaces(dop)
+
     def test_fibre_slice_singular_without_bump(self):
         # zero-tau fibre mode of the doubled strip without bump is singular
         op = strip_laplacian()

@@ -482,6 +482,32 @@ class TestExtensionValidation:
         with pytest.raises(ValueError):
             Bump(-1.0, (0.0, 1.0))
 
+    @pytest.mark.parametrize("height,support,field", [
+        (float("nan"), (1.15, 1.85), "height"), (float("inf"), (1.15, 1.85), "height"),
+        (1.0, (1.15, float("nan")), "support"), (1.0, (-float("inf"), 1.85), "support"),
+    ])
+    def test_bump_finite(self, height, support, field):
+        # a nan or inf height used to reach the collocation and fail there
+        # as "Chebyshev tail nan"
+        with pytest.raises(ValueError, match=f"bump {field} must be finite"):
+            Bump(height, support)
+
+
+class TestGeometry:
+    """Each geometry fixes its fibre kind, and the toy its point base."""
+
+    @pytest.mark.parametrize("geometry,base_dim,fibre,coefficients", [
+        # the toy's assembly read only (k, 0, 0) and dropped these terms
+        ("HalfLineToy", 1, Fibre("point"), {(2, 0, 0): 1.0, (0, 2, 0): 5.0}),
+        ("HalfLineToy", 0, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 0, 2): 1.0}),
+        ("ExteriorToy", 1, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 2, 0): 1.0}),
+        ("StripHyperbolic", 0, Fibre("point"), {(2, 0, 0): 1.0}),
+        ("CuspDomain", 0, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 0, 2): 1.0}),
+    ])
+    def test_geometry_rejects_other_fibres(self, geometry, base_dim, fibre, coefficients):
+        with pytest.raises(ValueError, match=rf"{geometry} needs|unknown geometry"):
+            ModelOperator(2, 1, base_dim, fibre, coefficients, geometry=geometry)
+
 
 def test_propagate_jet_matches_fundamental():
     ode = normal_operator(strip_laplacian(), (1.2,))
@@ -595,7 +621,7 @@ def test_cusp_domain_variable_coefficients():
          (0, 0, 2): {(0, 0): 1.0, (1, 1): -0.3},
          (0, 0, 1): {(1, 0): 2.0},            # vanishes in the normal family
          (0, 0, 0): {(0, 1): 0.25}},
-        geometry="CuspDomain")
+        geometry="StripHyperbolic")
     ode = normal_operator(op, (0.9,))
     assert np.max(np.abs(ode.coeff_values(0.4)[1])) <= 1e-14
     ext = FibreExtension.with_default_bump(1.0)
