@@ -291,9 +291,19 @@ def default_extension(op):
     return None
 
 
+def _point_base(build, *args):
+    """build(*args), with its ValueError as an input error: the interface
+    symbol and the discrete stencils refuse a (x D_y)^alpha term with
+    alpha != 0 (their base is a point), and the stencils an order above 2."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SchemaError("coefficients", str(exc)) from exc
+
+
 def cmd_symbol(cfg, op):
     """Interface-symbol sweep: projector entries, idempotence, DN value."""
-    sym = _frozen_interface_symbol(op, 0.0) if op.fibre.kind == "interval" \
+    sym = _point_base(_frozen_interface_symbol, op, 0.0) if op.fibre.kind == "interval" \
         else None
     rows = []
     for xi in cfg.xi:
@@ -382,7 +392,7 @@ def cmd_discrete(cfg, op):
             nz = max(16, (cfg.nz * ns) // cfg.ns)
             grid = PhiGrid("StripHyperbolic", S=cfg.S, ns=ns,
                            L=op.fibre.length, nz=nz)
-            dop = double_geometry(grid, discretize(op, grid), bump=ext.bump)
+            dop = double_geometry(grid, _point_base(discretize, op, grid), bump=ext.bump)
             path = calderon_path_spaces(dop)
             probe = normal_probe(path, ext, (cfg.tau_min + cfg.tau_max) / 2,
                                  (1.0 + 0.4 * (cfg.S - 1.0), 1.0 + 0.9 * (cfg.S - 1.0)))

@@ -6,10 +6,13 @@ derivative is constant-coefficient: x^2 d/dx = -d/ds.
 
 Two routes to the discrete Calderon projector:
   path A (`calderon_path_spaces`): plus/minus boundary-data spaces of the
-    doubled operator, as projector_from_pair (on the strip, one sine mode
-    in s at a time when the operator is s-separable, else a block-
-    tridiagonal sweep in z). It runs in the dtype of the bodies, on
-    derivative jets, and applies the D-jet phase to the result;
+    doubled operator, as projector_from_pair. On the strip an s-separable
+    operator is solved one sine mode in s at a time; otherwise each body
+    is solved one sine mode in z at a time when its line blocks are the
+    same on every line, else by a block-tridiagonal sweep in z, which
+    sweeps one family of solutions and reflects it when the body is its
+    own mirror. It runs in the dtype of the bodies, on derivative jets,
+    and applies the D-jet phase to the result;
   path B (`calderon_path_jump`, 1-D geometries): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
@@ -43,7 +46,7 @@ from .linalg import (
 from .symbols import PolyMatrixSymbol, calderon_symbol
 
 
-SWEEP_TOL = 1e-12  # normwise backward error of a line equation of the strip sweep
+SWEEP_TOL = 1e-12  # normwise backward error of a strip line equation or mode solve
 PATH_RANK_TOL = 1e-10  # rank and complementarity of the path-A data spaces, relative
 
 
@@ -256,8 +259,10 @@ def calderon_path_spaces(opd, trace_degree=None):
     jets of the one-sided discrete Dirichlet problems on the doubled grid.
 
     On the strip, an s-separable operator is solved one sine mode in s at a
-    time; every other operator by a block-tridiagonal sweep in z over each
-    body. The 1-D toy takes one sparse LU of each body."""
+    time. Every other operator is solved body by body: one sine mode in z
+    at a time when the body's line blocks are exactly the same on every
+    line, else by a block-tridiagonal sweep in z (see _path_spaces_sweep).
+    The 1-D toy takes one sparse LU of each body."""
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
@@ -387,16 +392,27 @@ def _jet_rows(u, hz, m, p, side):
 
 
 def _path_spaces_sweep(opd, trace_degree):
-    """Strip path A by a block-tridiagonal sweep in z over each body.
+    """Strip path A body by body, in z.
 
     Grouped by z line, the interior-s unknowns of a body satisfy
     A_j u_{j-1} + B_j u_j + C_j u_{j+1} = 0 for j = 1..nz-1, with data
-    u_0 = g_lo and u_nz = g_hi on the interface lines. A sweep down from the
-    far interface gives u_j = M_j u_{j-1} + N_j g_hi, where K_j = B_j +
-    C_j M_{j+1}, M_j = -K_j^-1 A_j and N_j = -K_j^-1 C_j N_{j+1}. One pass
-    back up carries the 2(ns-1) unit-data solutions line by line and keeps
-    only the lines that the jets read. The largest normwise backward error of
-    a line equation is reported as `certs["line_backward_error"]`.
+    u_0 = g_lo and u_nz = g_hi on the interface lines. The route of each
+    body is chosen from exact equalities of its blocks, never a tolerance:
+      - blocks the same on every line, with A = C (no z-dependent
+        coefficient, no odd power of D_z; the plus body of an x-dependent
+        operator): one tridiagonal s-problem per sine mode in z
+        (`_dst_body`), certified by each mode's normwise backward error,
+        reported as `certs["mode_backward_error"]`;
+      - otherwise a block-tridiagonal sweep (`_sweep_body`). A sweep down
+        from the far interface gives u_j = M_j u_{j-1} + N_j g_hi, where
+        K_j = B_j + C_j M_{j+1}, M_j = -K_j^-1 A_j and
+        N_j = -K_j^-1 C_j N_{j+1}. One pass back up carries the 2(ns-1)
+        unit-data solutions line by line and keeps only the lines that the
+        jets read. A body that is its own mirror under j -> nz - j (the
+        minus body with a symmetric bump) sweeps only M_j and reads the
+        g_hi solutions as the g_lo ones reflected. The largest normwise
+        backward error of a line equation is reported as
+        `certs["line_backward_error"]`.
     """
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
@@ -404,9 +420,15 @@ def _path_spaces_sweep(opd, trace_degree):
     kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
 
     def side_span(side):
-        u, err = _sweep_body(_body_blocks(opd, side), kept, side)
+        blocks = _body_blocks(opd, side)
+        if _line_invariant(blocks):
+            u, err = _dst_body(blocks, kept, side)
+            name = "mode_backward_error"
+        else:
+            u, err = _sweep_body(blocks, kept, side)
+            name = "line_backward_error"
         rows, stability = _jet_rows(u, grid.hz, m, p, side)
-        return np.concatenate(rows), {"line_backward_error": err, "trace_stability": stability}
+        return np.concatenate(rows), {name: err, "trace_stability": stability}
 
     return _path_from_spans(opd, side_span, layout)
 
@@ -429,14 +451,107 @@ def _body_blocks(opd, side):
 
 def _tri_mul(d, x):
     """T @ x for the tridiagonal T whose sub-, main and super-diagonal
-    coefficients of row i are d[0, i], d[1, i], d[2, i]; a zero
-    off-diagonal (no s derivative in the block) costs nothing."""
-    y = d[1][:, None] * x
-    if d[0].any():
-        y[1:] += d[0][1:, None] * x[:-1]
-    if d[2].any():
-        y[:-1] += d[2][:-1, None] * x[1:]
+    coefficients of row i are d[..., 0, i], d[..., 1, i], d[..., 2, i],
+    over any leading axes of d and x; a zero off-diagonal (no s derivative
+    in the block) costs nothing."""
+    y = d[..., 1, :, None] * x
+    if d[..., 0, :].any():
+        y[..., 1:, :] += d[..., 0, 1:, None] * x[..., :-1, :]
+    if d[..., 2, :].any():
+        y[..., :-1, :] += d[..., 2, :-1, None] * x[..., 1:, :]
     return y
+
+
+def _band(d):
+    """LAPACK (1, 1) band storage of the tridiagonals d in the row format of
+    `_tri_mul` (d[..., 0, 0] and d[..., 2, -1] lie outside the matrix)."""
+    out = np.zeros_like(d)
+    out[..., 0, 1:], out[..., 1, :], out[..., 2, :-1] = d[..., 2, :-1], d[..., 1, :], d[..., 0, 1:]
+    return out
+
+
+def _sine_matrix(n):
+    """Orthonormal DST-I of size n - 1, S_jl = sqrt(2/n) sin(pi j l / n) for
+    j, l = 1..n-1: symmetric, its own inverse, and the eigenvectors of the
+    path of n - 1 nodes, with eigenvalues 2 cos(pi l / n)."""
+    j = np.arange(1, n)
+    return np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j, j) / n)
+
+
+def _mode_solves(d, rhs, where):
+    """X_l with T_l X_l = R_l for the tridiagonals T_l = d[l - 1] (row format
+    of `_tri_mul`), one banded solve per mode l = 1, 2, ...; `rhs` holds the
+    R_l, or one R for every mode. Also returns the largest normwise backward
+    error |T_l X_l - R_l| / (|T_l||X_l| + |R_l|) over the modes; above
+    SWEEP_TOL, or on a singular T_l, raises SolveFailure naming `where` and
+    the mode."""
+
+    def norms(a):  # Frobenius norms over the last two axes, without a copy of a
+        parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+        return np.sqrt(sum(np.einsum("...ij,...ij->...", q, q) for q in parts))
+
+    rhs_norm = norms(rhs)  # before the broadcast: one R for every mode is one norm
+    rhs = np.broadcast_to(rhs, d.shape[:1] + rhs.shape[-2:])
+    x = np.empty(rhs.shape, dtype=np.result_type(d, rhs))
+    for l, (ab, r) in enumerate(zip(_band(d), rhs)):
+        try:
+            x[l] = sla.solve_banded((1, 1), ab, r, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"{where}, mode {l + 1}: {exc}") from None
+    scale = norms(d) * norms(x) + rhs_norm
+    err = np.empty_like(scale)
+    chunk = max(1, 2**19 // x[0].size)  # residuals of a few MB at a time, not one more copy of x
+    for lo in range(0, len(d), chunk):
+        part = slice(lo, lo + chunk)
+        res = _tri_mul(d[part], x[part])
+        res -= rhs[part]
+        err[part] = norms(res) / scale[part]
+    l = int(np.argmax(err))  # the first nan, if any
+    if not err[l] <= SWEEP_TOL:
+        raise SolveFailure(f"{where}, mode {l + 1}: "
+                           f"backward error {err[l]:.3e} exceeds {SWEEP_TOL:.0e}")
+    return x, float(err[l])
+
+
+def _line_invariant(blocks):
+    """The body's line blocks are exactly the same on every interior line,
+    with A = C."""
+    inner = blocks[1:-1]
+    return bool(np.all(inner == inner[0]) and np.array_equal(inner[0, 0], inner[0, 2]))
+
+
+def _mirrored(blocks):
+    """The body is its own mirror under line j -> nz - j: exactly
+    B_{nz-j} = B_j and A_{nz-j} = C_j for j = 1..nz-1."""
+    inner = blocks[1:-1]
+    flip = inner[::-1]
+    return bool(np.array_equal(inner[:, 1], flip[:, 1]) and np.array_equal(inner[:, 0], flip[:, 2]))
+
+
+def _dst_body(blocks, kept, side):
+    """`_sweep_body` for a line-invariant body (`_line_invariant`), one sine
+    mode in z at a time. The orthonormal DST-I S over the interior lines
+    block-diagonalises the line system: mode l = 1..nz-1 solves
+    (B + 2 cos(pi l / nz) A) X_l = A. The solutions with g_lo = e_c are
+    -sum_l S_jl S_l1 X_l on line j; those with g_hi = e_c take the sign
+    (-1)^(l+1) in the sum, since S_l,nz-1 = (-1)^(l+1) S_l1. Only the kept
+    lines are transformed back. The blocks are exactly the same on every
+    line and S is orthonormal, so each mode's backward error (returned, and
+    bounded by SWEEP_TOL in `_mode_solves`) certifies the line equations."""
+    nz, n = blocks.shape[0] - 1, blocks.shape[-1]
+    a, b = blocks[1, 0], blocks[1, 1]
+    modes = np.arange(1, nz)
+    x, err = _mode_solves(b + 2.0 * np.cos(np.pi * modes / nz)[:, None, None] * a,
+                          _tri_mul(a, np.eye(n, dtype=blocks.dtype)),
+                          f"strip z modes, side {side:+d}")
+    smat = _sine_matrix(nz)
+    inner = (kept > 0) & (kept < nz)
+    weights = smat[kept[inner] - 1] * smat[0]  # S_jl S_l1 on the kept interior lines
+    lo, hi = np.tensordot(np.stack([weights, weights * (-1.0) ** (modes + 1)]), x, axes=(2, 0))
+    out = np.zeros((kept.size, n, 2 * n), dtype=x.dtype)
+    out[inner] = -np.concatenate([lo, hi], axis=2)
+    out[kept == 0, :, :n] = out[kept == nz, :, n:] = np.eye(n)
+    return out, err
 
 
 def _sweep_body(blocks, kept, side):
@@ -445,31 +560,53 @@ def _sweep_body(blocks, kept, side):
     n + c has g_hi = e_c. Also returns the largest normwise backward error
     |A u_{j-1} + B u_j + C u_{j+1}| / (|A||u_{j-1}| + |B||u_j| + |C||u_{j+1}|)
     of a line equation, over all the solutions; above SWEEP_TOL, or on a
-    singular K_j, raises SolveFailure."""
+    singular K_j, raises SolveFailure.
+
+    A body that is its own mirror (`_mirrored`) sweeps only the g_lo
+    solutions, with M_j alone, and reads the g_hi ones as their reflection:
+    the far system is an exact permutation of the near one, so the line
+    certificate of the near solutions covers the reflected ones."""
     nz, n = blocks.shape[0] - 1, blocks.shape[-1]
+    mirror = _mirrored(blocks)
+    width = n if mirror else 2 * n  # columns carried: M_j, or [M_j | N_j]
     eye = np.eye(n, dtype=blocks.dtype)
     zero = np.zeros_like(eye)
-    steps = np.empty((nz, n, 2 * n), dtype=blocks.dtype)  # [M_j | N_j] at j
-    step = np.hstack([zero, eye])  # u_nz = g_hi
+    steps = np.empty((nz, n, width), dtype=blocks.dtype)  # [M_j | N_j], or M_j, at j
+    step = np.hstack([zero, eye])[:, :width]  # u_nz = g_hi
     for j in range(nz - 1, 0, -1):
         a, b, c = blocks[j]
         cs = _tri_mul(c, step)  # [C_j M_{j+1} | C_j N_{j+1}]
         try:  # inverse and product: faster than a solve with 2n right-hand sides
             kinv = sla.inv(cs[:, :n] + _tri_mul(b, eye), check_finite=False)
-            step = steps[j] = kinv @ -np.hstack([_tri_mul(a, eye), cs[:, n:]])
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"strip sweep, side {side:+d}, line {j}: {exc}") from None
+        if not mirror:
+            step = kinv @ -np.hstack([_tri_mul(a, eye), cs[:, n:]])
+        elif a[0].any() or a[2].any():
+            step = kinv @ -_tri_mul(a, eye)
+        else:  # A_j diagonal: M_j is a column scaling of K_j^-1
+            step = kinv * -a[1]
+        steps[j] = step
     out = np.empty((kept.size, n, 2 * n), dtype=blocks.dtype)
-    lo, mid = None, np.hstack([eye, zero])  # u_0 = g_lo
+
+    def keep(j, u):
+        if mirror:
+            out[kept == j, :, :n] = u
+            out[nz - kept == j, :, n:] = u
+        else:
+            out[kept == j] = u
+
+    lo, mid = None, np.hstack([eye, zero])[:, :width]  # u_0 = g_lo
     norm_lo, norm_mid = None, fro(mid)  # |u_{j-2}|, |u_{j-1}|, carried forward
     worst = 0.0
     for j in range(1, nz + 1):
-        out[kept == j - 1] = mid
+        keep(j - 1, mid)
         if j < nz:
             hi = steps[j][:, :n] @ mid
-            hi[:, n:] += steps[j][:, n:]
+            if not mirror:
+                hi[:, n:] += steps[j][:, n:]
         else:
-            hi = np.hstack([zero, eye])
+            hi = np.hstack([zero, eye])[:, :width]
         norm_hi = fro(hi)
         if lo is not None:
             a, b, c = blocks[j - 1]
@@ -481,7 +618,7 @@ def _sweep_body(blocks, kept, side):
             worst = max(worst, err)
         lo, mid = mid, hi
         norm_lo, norm_mid = norm_mid, norm_hi
-    out[kept == nz] = mid
+    keep(nz, mid)
     return out, worst
 
 
@@ -491,7 +628,9 @@ def _path_spaces_modes(opd, trace_degree):
     With the same-line block A0 and the next-line block A1 of the assembled
     matrix, sine mode j = 1..ns-1 of the DST-I in s solves the z-problem
     (A0 + 2 cos(pi j / ns) A1) u = 0 on each body: one tridiagonal solve per
-    mode and body, and one 4 x 4 projector per mode. Rank and complementarity
+    mode and body, and one 4 x 4 projector per mode. The largest normwise
+    backward error of a mode's solve is reported as
+    `certs["mode_backward_error"]` (bound SWEEP_TOL). Rank and complementarity
     are certified against the largest singular value over all modes, as the
     sweep route certifies the full bases; the singular values of the lifted
     pair are those of the modes, so its gap is the smallest over the modes.
@@ -507,25 +646,27 @@ def _path_spaces_modes(opd, trace_degree):
     modes = np.arange(1, ns)
     twocos = 2.0 * np.cos(np.pi * modes / ns)
 
-    def band(a):  # LAPACK (1, 1) band storage of a tridiagonal matrix
-        out = np.zeros((3, a.shape[0]), dtype=a.dtype)
-        out[0, 1:], out[1], out[2, :-1] = np.diagonal(a, 1), np.diagonal(a), np.diagonal(a, -1)
+    def diagonals(b):  # the interior z-lines of a body block, in the row format of _tri_mul
+        t = b[1:-1, 1:-1]
+        out = np.zeros((3, t.shape[0]), dtype=t.dtype)
+        out[0, 1:], out[1], out[2, :-1] = np.diagonal(t, -1), np.diagonal(t), np.diagonal(t, 1)
         return out
 
     def side_span(side):
         body = _body_lines(grid, side)
         b0, b1 = a0[np.ix_(body, body)], a1[np.ix_(body, body)]
-        band0, band1 = band(b0[1:-1, 1:-1]), band(b1[1:-1, 1:-1])
         rhs0, rhs1 = -b0[1:-1][:, [0, -1]], -b1[1:-1][:, [0, -1]]
+        c = twocos[:, None, None]
+        x, err = _mode_solves(diagonals(b0) + c * diagonals(b1), rhs0 + c * rhs1,
+                              f"strip s modes, side {side:+d}")
         u = np.zeros((body.size, n_int, 2), dtype=a0.dtype)
         u[0, :, 0] = u[-1, :, 1] = 1.0
-        for j, c in enumerate(twocos):
-            u[1:-1, j] = sla.solve_banded((1, 1), band0 + c * band1, rhs0 + c * rhs1)
+        u[1:-1] = x.transpose(1, 0, 2)
         rows, stability = _jet_rows(u, grid.hz, m, p, side)
         basis, sv, _ = np.linalg.svd(np.stack(rows, axis=1), full_matrices=False)  # (mode, 4, 2)
-        return basis, int(np.sum(sv > PATH_RANK_TOL * sv.max())), stability
+        return basis, int(np.sum(sv > PATH_RANK_TOL * sv.max())), stability, err
 
-    (up, r, stab_p), (um, k, stab_m) = side_span(+1), side_span(-1)
+    (up, r, stab_p, err_p), (um, k, stab_m, err_m) = side_span(+1), side_span(-1)
     if r + k != 4 * n_int:
         raise NotComplementary(
             f"range dim {r} + kernel dim {k} != ambient dim {4 * n_int}", gap=0.0)
@@ -536,7 +677,7 @@ def _path_spaces_modes(opd, trace_degree):
         raise NotComplementary(
             "concatenated range/kernel basis is numerically singular", gap=gap)
     c_modes = up @ np.linalg.inv(pair)[:, :2]
-    smat = np.sqrt(2.0 / ns) * np.sin(np.pi * np.outer(modes, modes) / ns)
+    smat = _sine_matrix(ns)
 
     def lift(blocks):  # (mode, 4, c) -> (I_4 x S) blockdiag(blocks)
         return np.einsum("ij,jrc->ricj", smat, blocks).reshape(4 * n_int, -1)
@@ -546,7 +687,8 @@ def _path_spaces_modes(opd, trace_degree):
     bp = SubspaceBasis._orthonormal(lift(up), PATH_RANK_TOL)
     bm = SubspaceBasis._orthonormal(lift(um), PATH_RANK_TOL)
     proj = Projector(cmat, idempotence_defect(cmat), bp, bm,
-                     {"gap": gap, "trace_stability": max(stab_p, stab_m)})
+                     {"gap": gap, "trace_stability": max(stab_p, stab_m),
+                      "mode_backward_error": max(err_p, err_m)})
     return _dz_phase(proj, layout, opd)
 
 
@@ -808,10 +950,14 @@ def symbol_probe(path, xi, point, width=2.0, eval_fraction=0.5):
 
 def _frozen_interface_symbol(op, x0):
     """Interface symbol of a strip operator at the z = 0 collar: D_z becomes
-    the transversal D_t, the s-oscillation contributes (-xi)^k."""
+    the transversal D_t, the s-oscillation contributes (-xi)^k. The symbol
+    has no eta covariable, so a (x D_y)^alpha term with alpha != 0 raises
+    ValueError."""
     n = op.system_size
     coeffs = {}
     for (k, alpha, beta), pm in op.coefficients.items():
+        if alpha != 0:
+            raise ValueError("the interface symbol has a point base (alpha = 0)")
         val = pm.eval(x0, 0.0) * ((-1.0) ** k)
         key = (beta, (), (k,))
         coeffs[key] = coeffs.get(key, 0) + val

@@ -154,6 +154,21 @@ class TestParseConfig:
         path.write_text(json.dumps(doc))
         assert main(["discrete", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("subcommand,refusal", [
+        ("symbol", "the interface symbol has a point base"),
+        ("discrete", "discrete geometries have a point base")])
+    def test_base_term_is_input_error(self, tmp_path, capsys, subcommand, refusal):
+        # 5 (x D_y)^2 with base_dim 1: `symbol` used to give the projector of
+        # the constant potential 5, and `discrete` to raise a bare ValueError
+        doc = json.loads(strip_config_text())
+        doc["base_dim"] = 1
+        doc["coefficients"].append({"k": 0, "alpha": 2, "beta": 0, "poly": [[0, 0, 5.0, 0.0]]})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"coefficients: {refusal} (alpha = 0)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestArtifacts:
     def test_projector_roundtrip(self, tmp_path):

@@ -24,7 +24,7 @@ from cuspcal.discrete import (
     _path_spaces_sweep,
 )
 from cuspcal.errors import GeometryMismatch, NotComplementary, SolveFailure, TraceUnstable
-from cuspcal.fibre import Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
+from cuspcal.fibre import Bump, Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
 from cuspcal.linalg import SubspaceBasis, direct_sum_check, fro, idempotence_defect
 from cuspcal.symbols import PolyMatrixSymbol, calderon_symbol
 
@@ -428,12 +428,14 @@ class TestShadowSolutions:
         assert sv[-1] > 1e-6
 
 
-def doubled_strip(coefficients, n, nz=None):
+DEFAULT_BUMP = FibreExtension.with_default_bump(1.0).bump  # support (1.15, 1.85)
+
+
+def doubled_strip(coefficients, n, nz=None, bump=DEFAULT_BUMP):
     op = ModelOperator(2, 1, 0, Fibre("interval", 1.0), coefficients,
                        geometry="StripHyperbolic")
-    ext = FibreExtension.with_default_bump(1.0)
     grid = PhiGrid("StripHyperbolic", S=6.0, ns=n, L=1.0, nz=nz or n)
-    return double_geometry(grid, discretize(op, grid), bump=ext.bump)
+    return double_geometry(grid, discretize(op, grid), bump=bump)
 
 
 def lu_oracle(dop, trace_degree=None):
@@ -466,12 +468,19 @@ SEPARABLE = {
     "laplacian": {(2, 0, 0): 1.0, (0, 0, 2): 1.0},
     "anisotropic": {(2, 0, 0): 1.0, (0, 0, 2): 2.0, (0, 0, 0): 0.25},
     "complex": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (0, 0, 1): 0.3},
+    # (1 + z/2) D_z^2: a z-dependent coefficient keeps the DST-I in s exact
+    "z-dependent": {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (0, 1): 0.5}},
 }
 NOT_SEPARABLE = {
     "x-dependent": {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (1, 0): 0.5}},
+    "x-dependent complex": {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (1, 0): 0.5},
+                            (0, 0, 0): 0.2j},
     "odd-k": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 0, 0): 0.2},
     # x^2 D_x D_z: a 9-point stencil, so the line blocks couple s neighbours
     "cross": {(2, 0, 0): 1.0, (0, 0, 2): 1.0, (1, 0, 1): 0.3},
+    # (1 + x/2 + z/2) D_z^2: no body has the same blocks on every line or is
+    # its own mirror
+    "xz-dependent": {(2, 0, 0): 1.0, (0, 0, 2): {(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5}},
 }
 
 
@@ -494,6 +503,39 @@ def recording_splu(monkeypatch):
 
 def relative_gap(a, b):
     return fro(a.projector.matrix - b.projector.matrix) / fro(b.projector.matrix)
+
+
+def recording_routes(monkeypatch):
+    """Route of each strip body, in the order of the bodies: "z modes",
+    "mirror" (the g_lo sweep and its reflection) or "sweep"."""
+    seen, invariant, mirrored = [], discrete._line_invariant, discrete._mirrored
+
+    def line_invariant(blocks):
+        seen.append("z modes" if invariant(blocks) else None)
+        return seen[-1] is not None
+
+    def mirror(blocks):
+        seen[-1] = "mirror" if mirrored(blocks) else "sweep"
+        return seen[-1] == "mirror"
+
+    monkeypatch.setattr(discrete, "_line_invariant", line_invariant)
+    monkeypatch.setattr(discrete, "_mirrored", mirror)
+    return seen
+
+
+def failing_at(call, name, message):
+    """discrete.sla with `name` raising LinAlgError(message) at its call-th call."""
+    calls, real = [], getattr(discrete.sla, name)
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError(message)
+        return real(*args, **kwargs)
+
+    sla = SimpleNamespace(inv=discrete.sla.inv, solve_banded=discrete.sla.solve_banded)
+    setattr(sla, name, fail)
+    return sla
 
 
 class TestStripRoutes:
@@ -606,25 +648,81 @@ class TestStripRoutes:
         assert abs(np.trace(proj.matrix) - 2 * (n - 1)) <= 1e-9
 
     def test_singular_line_block_raises(self, monkeypatch):
-        calls, inv = [], discrete.sla.inv
-
-        def singular_at_fifth(a, **kwargs):
-            calls.append(1)
-            if len(calls) == 5:
-                raise np.linalg.LinAlgError("singular matrix")
-            return inv(a, **kwargs)
-
-        monkeypatch.setattr(discrete, "sla", SimpleNamespace(inv=singular_at_fifth))
-        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 24)
+        monkeypatch.setattr(discrete, "sla", failing_at(5, "inv", "singular matrix"))
+        dop = doubled_strip(NOT_SEPARABLE["xz-dependent"], 24)
         # the sweep runs down from line nz - 1 = 23 of the plus body
-        with pytest.raises(SolveFailure, match=r"side \+1, line 19: singular matrix"):
+        with pytest.raises(SolveFailure, match=r"sweep, side \+1, line 19: singular matrix"):
             calderon_path_spaces(dop)
 
     def test_backward_error_above_bound_raises(self, monkeypatch):
         monkeypatch.setattr(discrete, "SWEEP_TOL", 1e-30)
-        dop = doubled_strip(NOT_SEPARABLE["x-dependent"], 24)
-        with pytest.raises(SolveFailure, match=r"side \+1, line 1: backward error .* exceeds"):
+        dop = doubled_strip(NOT_SEPARABLE["xz-dependent"], 24)
+        with pytest.raises(SolveFailure, match=r"sweep, side \+1, line 1: backward error .* exceeds"):
             calderon_path_spaces(dop)
+
+    # the s modes of an s-separable operator; the z modes of the plus body
+    MODE_ROUTES = [("strip s modes", SEPARABLE["laplacian"]),
+                   ("strip z modes", NOT_SEPARABLE["x-dependent"])]
+
+    @pytest.mark.parametrize("route,coefficients", MODE_ROUTES)
+    def test_singular_mode_raises(self, route, coefficients, monkeypatch):
+        monkeypatch.setattr(discrete, "sla", failing_at(5, "solve_banded", "singular matrix"))
+        with pytest.raises(SolveFailure, match=rf"^{route}, side \+1, mode 5: singular matrix$"):
+            calderon_path_spaces(doubled_strip(coefficients, 24))
+
+    @pytest.mark.parametrize("route,coefficients", MODE_ROUTES)
+    def test_mode_backward_error_above_bound_raises(self, route, coefficients, monkeypatch):
+        monkeypatch.setattr(discrete, "SWEEP_TOL", 1e-30)
+        with pytest.raises(SolveFailure, match=rf"^{route}, side \+1, mode \d+: "
+                                               rf"backward error .* exceeds 1e-30$"):
+            calderon_path_spaces(doubled_strip(coefficients, 24))
+
+    @pytest.mark.parametrize("route,coefficients", MODE_ROUTES)
+    def test_mode_backward_error_reported(self, route, coefficients):
+        certs = calderon_path_spaces(doubled_strip(coefficients, 48)).projector.certs
+        assert 0.0 < certs["mode_backward_error"] <= discrete.SWEEP_TOL
+
+    @pytest.mark.parametrize("n", (24, 48))
+    @pytest.mark.parametrize("name,bump,routes", [
+        ("x-dependent", DEFAULT_BUMP, ("z modes", "mirror")),
+        ("x-dependent complex", DEFAULT_BUMP, ("z modes", "mirror")),
+        # asymmetric about 3L/2: the minus body falls back to the full sweep
+        ("x-dependent", Bump(1.0, (1.1, 1.7)), ("z modes", "sweep")),
+        ("x-dependent complex", Bump(1.0, (1.1, 1.7)), ("z modes", "sweep")),
+        ("x-dependent", None, ("z modes", "z modes")),
+        ("cross", DEFAULT_BUMP, ("sweep", "sweep")),
+        ("xz-dependent", DEFAULT_BUMP, ("sweep", "sweep")),
+    ])
+    def test_body_routes_match_lu_oracle(self, name, bump, routes, n, monkeypatch):
+        dop = doubled_strip(NOT_SEPARABLE[name], n, bump=bump)
+        assert bool(np.any(dop.matrix.data.imag)) == (name == "x-dependent complex")
+        seen = recording_routes(monkeypatch)
+        path = calderon_path_spaces(dop)
+        assert tuple(seen) == routes
+        certs = path.projector.certs
+        names = {"mode_backward_error": "z modes" in routes,
+                 "line_backward_error": routes != ("z modes", "z modes")}
+        for cert, ran in names.items():
+            assert (cert in certs) == ran
+            assert not ran or 0.0 < certs[cert] <= discrete.SWEEP_TOL
+        assert relative_gap(path, lu_oracle(dop)) <= 1e-11
+
+    @pytest.mark.parametrize("name,side", [("x-dependent", -1), ("cross", +1)])
+    def test_mirror_branch_matches_full_sweep(self, name, side, monkeypatch):
+        # a body made its own mirror; A_j is diagonal for the x-dependent
+        # operator, tridiagonal for the cross term
+        blocks = discrete._body_blocks(
+            doubled_strip(NOT_SEPARABLE[name], 24, bump=Bump(1.0, (1.1, 1.7))), side)
+        blocks[13:24] = blocks[11:0:-1, ::-1]  # line j > 12 copies line 24 - j, A and C swapped
+        blocks[12, 2] = blocks[12, 0]
+        assert discrete._mirrored(blocks)
+        assert bool(blocks[1:-1, 0, [0, 2]].any()) == (name == "cross")
+        kept = np.r_[0:6, 19:25]
+        u, err = discrete._sweep_body(blocks, kept, side)
+        monkeypatch.setattr(discrete, "_mirrored", lambda blocks: False)
+        ref, ref_err = discrete._sweep_body(blocks, kept, side)
+        assert fro(u - ref) <= 1e-13 * fro(ref)
+        assert 0.0 < err <= discrete.SWEEP_TOL and 0.0 < ref_err <= discrete.SWEEP_TOL
 
     @pytest.mark.parametrize("rank_tol,reason", [
         (0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
