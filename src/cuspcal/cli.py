@@ -367,7 +367,8 @@ def cmd_discrete(cfg, op):
     if op.geometry == "HalfLineToy":
         jump = jump_operator(op)
         for ns in (cfg.ns // 4, cfg.ns // 2, cfg.ns):
-            row, pa, pb = toy_path_row(op, jump, cfg.S, ns)
+            grid = PhiGrid("HalfLineToy", S=cfg.S, ns=ns)
+            row, pa, pb = toy_path_row(_point_base(discretize, op, grid), jump)
             rows.append(row)
             if ns == cfg.ns:
                 write_projector(out / "projector_spaces.txt", pa.matrix,

@@ -7,12 +7,14 @@ derivative is constant-coefficient: x^2 d/dx = -d/ds.
 Two routes to the discrete Calderon projector:
   path A (`calderon_path_spaces`): plus/minus boundary-data spaces of the
     doubled operator, as projector_from_pair. On the strip an s-separable
-    operator is solved one sine mode in s at a time; otherwise each body
-    is solved one sine mode in z at a time when its line blocks are the
-    same on every line, else by a block-tridiagonal sweep in z, which
-    sweeps one family of solutions and reflects it when the body is its
-    own mirror. It runs in the dtype of the bodies, on derivative jets,
-    and applies the D-jet phase to the result;
+    operator is solved one sine mode in s at a time, with one small
+    projector per mode; otherwise each body is solved one sine mode in z
+    at a time when its line blocks are the same on every line, else by a
+    block-tridiagonal sweep in z. When both bodies are their own mirror,
+    the projector splits into an even and an odd half under the
+    reflection that swaps the interfaces, and each body solves only for
+    the data of one interface. It runs in the dtype of the bodies, on
+    derivative jets, and applies the D-jet phase to the result;
   path B (`calderon_path_jump`, 1-D geometries): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
@@ -261,8 +263,11 @@ def calderon_path_spaces(opd, trace_degree=None):
     On the strip, an s-separable operator is solved one sine mode in s at a
     time. Every other operator is solved body by body: one sine mode in z
     at a time when the body's line blocks are exactly the same on every
-    line, else by a block-tridiagonal sweep in z (see _path_spaces_sweep).
-    The 1-D toy takes one sparse LU of each body."""
+    line, else by a block-tridiagonal sweep in z. When both bodies are
+    exactly their own mirror in z, the projector is built from its even and
+    odd halves under the reflection that swaps the two interfaces, else
+    from the two whole spans (see _path_spaces_sweep). The 1-D toy takes
+    one sparse LU of each body."""
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
@@ -272,20 +277,57 @@ def calderon_path_spaces(opd, trace_degree=None):
     return _path_spaces_sweep(opd, trace_degree)
 
 
+def _by_side(side_data):
+    """side_data(side) for the plus and the minus body, which returns the
+    body's data and its certificates (name -> value). Returns the two data
+    and the certificates of the pair: the larger value of the two bodies."""
+    data, certs = [], {}
+    for side in (+1, -1):
+        values, side_certs = side_data(side)
+        data.append(values)
+        for name, value in side_certs.items():
+            certs[name] = max(value, certs.get(name, value))
+    return data, certs
+
+
 def _path_from_spans(opd, side_span, layout):
     """Path-A projector from the spanning data columns of each body.
 
     side_span(side) returns the columns as derivative jets in the dtype of
     the body, and the body's certificates (name -> value); the projector
     reports the larger value of the two bodies, beside its gap."""
-    bases, certs = [], {}
-    for side in (+1, -1):
-        span, side_certs = side_span(side)
-        bases.append(SubspaceBasis.from_span(span, rank_tol=PATH_RANK_TOL))
-        for name, value in side_certs.items():
-            certs[name] = max(value, certs.get(name, value))
-    proj = projector_from_pair(bases[0], bases[1])
+    spans, certs = _by_side(side_span)
+    proj = projector_from_pair(*(SubspaceBasis.from_span(span, rank_tol=PATH_RANK_TOL)
+                                 for span in spans))
     return _dz_phase(replace(proj, certs={**proj.certs, **certs}), layout, opd)
+
+
+def _blocked_projector(spans):
+    """Path-A projector of a direct sum of small independent problems:
+    spans[0] and spans[1] stack, block by block, the columns that span B+
+    and B- there, (block, rows, columns) with the two column counts adding
+    up to the rows. Each side's rank is counted against its largest singular
+    value over all blocks, as from_span counts it on the whole span; the
+    singular values of the whole pair are those of the blocks, so the gap is
+    the smallest over the blocks, and the pair is complementary when it
+    exceeds PATH_RANK_TOL times the largest. Raises NotComplementary with the
+    messages of projector_from_pair. Returns the orthonormal bases of each
+    block (from the SVD), the projector blocks and the gap."""
+    bases, ranks = [], []
+    for span in spans:
+        basis, sv, _ = np.linalg.svd(span, full_matrices=False)
+        bases.append(basis)
+        ranks.append(int(np.sum(sv > PATH_RANK_TOL * sv.max())))
+    (r, k), dim = ranks, spans[0].shape[0] * spans[0].shape[1]
+    if r + k != dim:
+        raise NotComplementary(f"range dim {r} + kernel dim {k} != ambient dim {dim}", gap=0.0)
+    pair = np.concatenate(bases, axis=2)
+    sv = np.linalg.svd(pair, compute_uv=False)
+    gap = float(sv.min())
+    if gap <= PATH_RANK_TOL * sv.max():
+        raise NotComplementary(
+            "concatenated range/kernel basis is numerically singular", gap=gap)
+    return bases, bases[0] @ np.linalg.inv(pair)[:, : bases[0].shape[2]], gap
 
 
 def _dz_phase(proj, layout, opd):
@@ -396,8 +438,10 @@ def _path_spaces_sweep(opd, trace_degree):
 
     Grouped by z line, the interior-s unknowns of a body satisfy
     A_j u_{j-1} + B_j u_j + C_j u_{j+1} = 0 for j = 1..nz-1, with data
-    u_0 = g_lo and u_nz = g_hi on the interface lines. The route of each
-    body is chosen from exact equalities of its blocks, never a tolerance:
+    u_0 = g_lo and u_nz = g_hi on the interface lines. Every route is
+    chosen from exact equalities of the blocks, never a tolerance.
+
+    The solver of each body:
       - blocks the same on every line, with A = C (no z-dependent
         coefficient, no odd power of D_z; the plus body of an x-dependent
         operator): one tridiagonal s-problem per sine mode in z
@@ -406,31 +450,85 @@ def _path_spaces_sweep(opd, trace_degree):
       - otherwise a block-tridiagonal sweep (`_sweep_body`). A sweep down
         from the far interface gives u_j = M_j u_{j-1} + N_j g_hi, where
         K_j = B_j + C_j M_{j+1}, M_j = -K_j^-1 A_j and
-        N_j = -K_j^-1 C_j N_{j+1}. One pass back up carries the 2(ns-1)
-        unit-data solutions line by line and keeps only the lines that the
-        jets read. A body that is its own mirror under j -> nz - j (the
-        minus body with a symmetric bump) sweeps only M_j and reads the
-        g_hi solutions as the g_lo ones reflected. The largest normwise
-        backward error of a line equation is reported as
-        `certs["line_backward_error"]`.
+        N_j = -K_j^-1 C_j N_{j+1}. One pass back up carries the unit-data
+        solutions line by line and keeps only the lines that the jets read.
+        The largest normwise backward error of a line equation is reported
+        as `certs["line_backward_error"]`.
+
+    The projector: when both bodies are their own mirror under
+    j -> nz - j (`_mirrored`; a line-invariant body always is, and so is
+    the minus body with a symmetric bump), the doubled problem commutes
+    with the reflection that swaps the interfaces. Each body then solves for
+    its g_lo data alone, and C is built from an even and an odd half of
+    half the size (`_path_from_halves`). Otherwise each body also solves
+    for its g_hi data, and C comes from the two whole spans
+    (`_path_from_spans`).
     """
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
     nz, k = grid.nz, p + 2
     kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
+    blocks = {side: _body_blocks(opd, side) for side in (+1, -1)}
+    full = not all(_mirrored(b) for b in blocks.values())  # solve for g_hi too
 
-    def side_span(side):
-        blocks = _body_blocks(opd, side)
-        if _line_invariant(blocks):
-            u, err = _dst_body(blocks, kept, side)
+    def side_data(side):
+        body = blocks.pop(side)  # freed once this body is solved
+        if _line_invariant(body):
+            u, err = _dst_body(body, kept, side, full)
             name = "mode_backward_error"
         else:
-            u, err = _sweep_body(blocks, kept, side)
+            u, err = _sweep_body(body, kept, side, full)
             name = "line_backward_error"
         rows, stability = _jet_rows(u, grid.hz, m, p, side)
-        return np.concatenate(rows), {name: err, "trace_stability": stability}
+        data = np.concatenate(rows) if full else _parity_halves(*rows)
+        return data, {name: err, "trace_stability": stability}
 
-    return _path_from_spans(opd, side_span, layout)
+    return (_path_from_spans if full else _path_from_halves)(opd, side_data, layout)
+
+
+def _path_from_halves(opd, side_halves, layout):
+    """Path-A projector of a doubled strip whose bodies are both their own
+    mirror, from the even and odd halves of each body's g_lo data,
+    side_halves(side) -> (`_parity_halves`, certificates).
+
+    The reflection R (v0, dv0, vL, dvL) = (vL, -dvL, v0, -dv0) maps the g_lo
+    data J of a mirrored body to its g_hi data, exactly (the one-sided trace
+    weights of the two sides differ in the sign of the odd orders), so its
+    span is [J | R J] and C commutes with R. The orthogonal butterflies
+    E = [I 0; 0 I; I 0; 0 -I] / sqrt 2 and O = [I 0; 0 I; -I 0; 0 I] / sqrt 2
+    span the even and the odd data, and a body's even and odd halves are
+    spanned by E^T J and O^T J, of 2n x n for n = ns - 1. So
+    C = E C_e E^T + O C_o O^T: with P = (C_e + C_o) / 2, M = (C_e - C_o) / 2
+    and D = diag(I, -I), C = [P, M D; D M, D P D]. [E|O] is orthogonal, so
+    the ranks, the gap and the idempotence defect of the halves are those
+    of C."""
+    halves, certs = _by_side(side_halves)
+    (qp, qm), c_halves, gap = _blocked_projector(halves)
+    ce, co = c_halves
+    n2 = ce.shape[0]
+    sign = np.repeat([1.0, -1.0], n2 // 2)  # the diagonal of D
+    plus, minus = 0.5 * (ce + co), 0.5 * (ce - co)
+    cmat = np.empty((2 * n2, 2 * n2), dtype=ce.dtype)
+    cmat[:n2, :n2] = plus
+    cmat[:n2, n2:] = minus * sign
+    cmat[n2:, :n2] = sign[:, None] * minus
+    cmat[n2:, n2:] = sign[:, None] * plus * sign
+
+    def lift(q):  # [E q_e | O q_o], orthonormal as [E|O] and each q are
+        return SubspaceBasis._orthonormal(
+            np.concatenate([np.hstack([q[0], q[1]]), sign[:, None] * np.hstack([q[0], -q[1]])])
+            / math.sqrt(2.0), PATH_RANK_TOL)
+
+    proj = Projector(cmat, idempotence_defect(c_halves), lift(qp), lift(qm),
+                     {"gap": gap, **certs})
+    return _dz_phase(proj, layout, opd)
+
+
+def _parity_halves(v0, dv0, vl, dvl):
+    """sqrt 2 (E^T J, O^T J) for the data J = (v0, dv0, vL, dvL) of
+    `_path_from_halves`, stacked as (half, 2n, columns)."""
+    return np.stack([np.concatenate([v0 + vl, dv0 - dvl]),
+                     np.concatenate([v0 - vl, dv0 + dvl])])
 
 
 def _body_blocks(opd, side):
@@ -522,22 +620,24 @@ def _line_invariant(blocks):
 
 def _mirrored(blocks):
     """The body is its own mirror under line j -> nz - j: exactly
-    B_{nz-j} = B_j and A_{nz-j} = C_j for j = 1..nz-1."""
+    B_{nz-j} = B_j and A_{nz-j} = C_j for j = 1..nz-1. Its g_hi solutions
+    are then its g_lo solutions reflected."""
     inner = blocks[1:-1]
     flip = inner[::-1]
     return bool(np.array_equal(inner[:, 1], flip[:, 1]) and np.array_equal(inner[:, 0], flip[:, 2]))
 
 
-def _dst_body(blocks, kept, side):
+def _dst_body(blocks, kept, side, full):
     """`_sweep_body` for a line-invariant body (`_line_invariant`), one sine
     mode in z at a time. The orthonormal DST-I S over the interior lines
     block-diagonalises the line system: mode l = 1..nz-1 solves
     (B + 2 cos(pi l / nz) A) X_l = A. The solutions with g_lo = e_c are
-    -sum_l S_jl S_l1 X_l on line j; those with g_hi = e_c take the sign
-    (-1)^(l+1) in the sum, since S_l,nz-1 = (-1)^(l+1) S_l1. Only the kept
-    lines are transformed back. The blocks are exactly the same on every
-    line and S is orthonormal, so each mode's backward error (returned, and
-    bounded by SWEEP_TOL in `_mode_solves`) certifies the line equations."""
+    -sum_l S_jl S_l1 X_l on line j; with `full`, those with g_hi = e_c
+    follow, with the sign (-1)^(l+1) in the sum, since
+    S_l,nz-1 = (-1)^(l+1) S_l1. Only the kept lines are transformed back.
+    The blocks are exactly the same on every line and S is orthonormal, so
+    each mode's backward error (returned, and bounded by SWEEP_TOL in
+    `_mode_solves`) certifies the line equations."""
     nz, n = blocks.shape[0] - 1, blocks.shape[-1]
     a, b = blocks[1, 0], blocks[1, 1]
     modes = np.arange(1, nz)
@@ -547,28 +647,25 @@ def _dst_body(blocks, kept, side):
     smat = _sine_matrix(nz)
     inner = (kept > 0) & (kept < nz)
     weights = smat[kept[inner] - 1] * smat[0]  # S_jl S_l1 on the kept interior lines
-    lo, hi = np.tensordot(np.stack([weights, weights * (-1.0) ** (modes + 1)]), x, axes=(2, 0))
-    out = np.zeros((kept.size, n, 2 * n), dtype=x.dtype)
-    out[inner] = -np.concatenate([lo, hi], axis=2)
-    out[kept == 0, :, :n] = out[kept == nz, :, n:] = np.eye(n)
+    sums = [weights, weights * (-1.0) ** (modes + 1)] if full else [weights]
+    out = np.zeros((kept.size, n, len(sums) * n), dtype=x.dtype)
+    out[inner] = -np.concatenate([np.tensordot(w, x, axes=(1, 0)) for w in sums], axis=2)
+    out[kept == 0, :, :n] = np.eye(n)
+    if full:
+        out[kept == nz, :, n:] = np.eye(n)
     return out, err
 
 
-def _sweep_body(blocks, kept, side):
+def _sweep_body(blocks, kept, side, full):
     """Unit-data solutions of one body on its lines `kept`, as an array
-    (line, s node, solution); solution c has g_lo = e_c and solution
-    n + c has g_hi = e_c. Also returns the largest normwise backward error
+    (line, s node, solution); solution c has g_lo = e_c and, with `full`,
+    solution n + c has g_hi = e_c. Without `full` the sweep carries M_j
+    alone. Also returns the largest normwise backward error
     |A u_{j-1} + B u_j + C u_{j+1}| / (|A||u_{j-1}| + |B||u_j| + |C||u_{j+1}|)
     of a line equation, over all the solutions; above SWEEP_TOL, or on a
-    singular K_j, raises SolveFailure.
-
-    A body that is its own mirror (`_mirrored`) sweeps only the g_lo
-    solutions, with M_j alone, and reads the g_hi ones as their reflection:
-    the far system is an exact permutation of the near one, so the line
-    certificate of the near solutions covers the reflected ones."""
+    singular K_j, raises SolveFailure."""
     nz, n = blocks.shape[0] - 1, blocks.shape[-1]
-    mirror = _mirrored(blocks)
-    width = n if mirror else 2 * n  # columns carried: M_j, or [M_j | N_j]
+    width = 2 * n if full else n  # columns carried: [M_j | N_j], or M_j
     eye = np.eye(n, dtype=blocks.dtype)
     zero = np.zeros_like(eye)
     steps = np.empty((nz, n, width), dtype=blocks.dtype)  # [M_j | N_j], or M_j, at j
@@ -580,30 +677,22 @@ def _sweep_body(blocks, kept, side):
             kinv = sla.inv(cs[:, :n] + _tri_mul(b, eye), check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"strip sweep, side {side:+d}, line {j}: {exc}") from None
-        if not mirror:
+        if full:
             step = kinv @ -np.hstack([_tri_mul(a, eye), cs[:, n:]])
         elif a[0].any() or a[2].any():
             step = kinv @ -_tri_mul(a, eye)
         else:  # A_j diagonal: M_j is a column scaling of K_j^-1
             step = kinv * -a[1]
         steps[j] = step
-    out = np.empty((kept.size, n, 2 * n), dtype=blocks.dtype)
-
-    def keep(j, u):
-        if mirror:
-            out[kept == j, :, :n] = u
-            out[nz - kept == j, :, n:] = u
-        else:
-            out[kept == j] = u
-
+    out = np.empty((kept.size, n, width), dtype=blocks.dtype)
     lo, mid = None, np.hstack([eye, zero])[:, :width]  # u_0 = g_lo
     norm_lo, norm_mid = None, fro(mid)  # |u_{j-2}|, |u_{j-1}|, carried forward
     worst = 0.0
     for j in range(1, nz + 1):
-        keep(j - 1, mid)
+        out[kept == j - 1] = mid
         if j < nz:
             hi = steps[j][:, :n] @ mid
-            if not mirror:
+            if full:
                 hi[:, n:] += steps[j][:, n:]
         else:
             hi = np.hstack([zero, eye])[:, :width]
@@ -618,7 +707,7 @@ def _sweep_body(blocks, kept, side):
             worst = max(worst, err)
         lo, mid = mid, hi
         norm_lo, norm_mid = norm_mid, norm_hi
-    keep(nz, mid)
+    out[kept == nz] = mid
     return out, worst
 
 
@@ -628,12 +717,14 @@ def _path_spaces_modes(opd, trace_degree):
     With the same-line block A0 and the next-line block A1 of the assembled
     matrix, sine mode j = 1..ns-1 of the DST-I in s solves the z-problem
     (A0 + 2 cos(pi j / ns) A1) u = 0 on each body: one tridiagonal solve per
-    mode and body, and one 4 x 4 projector per mode. The largest normwise
+    mode and body, and one 4 x 4 projector per mode (`_blocked_projector`,
+    which the parity halves of the sweep route share). The largest normwise
     backward error of a mode's solve is reported as
-    `certs["mode_backward_error"]` (bound SWEEP_TOL). Rank and complementarity
-    are certified against the largest singular value over all modes, as the
-    sweep route certifies the full bases; the singular values of the lifted
-    pair are those of the modes, so its gap is the smallest over the modes.
+    `certs["mode_backward_error"]` (bound SWEEP_TOL). Rank and
+    complementarity are certified against the largest singular value over
+    all modes; the singular values of the lifted pair are those of the
+    modes, so its gap is the smallest over the modes. The idempotence
+    defect is that of the lifted matrix.
     """
     m, p, layout = _strip_setup(opd, trace_degree)
     grid = opd.grid
@@ -663,20 +754,11 @@ def _path_spaces_modes(opd, trace_degree):
         u[0, :, 0] = u[-1, :, 1] = 1.0
         u[1:-1] = x.transpose(1, 0, 2)
         rows, stability = _jet_rows(u, grid.hz, m, p, side)
-        basis, sv, _ = np.linalg.svd(np.stack(rows, axis=1), full_matrices=False)  # (mode, 4, 2)
-        return basis, int(np.sum(sv > PATH_RANK_TOL * sv.max())), stability, err
+        return np.stack(rows, axis=1), {"trace_stability": stability,  # (mode, 4, 2)
+                                        "mode_backward_error": err}
 
-    (up, r, stab_p, err_p), (um, k, stab_m, err_m) = side_span(+1), side_span(-1)
-    if r + k != 4 * n_int:
-        raise NotComplementary(
-            f"range dim {r} + kernel dim {k} != ambient dim {4 * n_int}", gap=0.0)
-    pair = np.concatenate([up, um], axis=2)
-    sv = np.linalg.svd(pair, compute_uv=False)
-    gap = float(sv.min())
-    if gap <= PATH_RANK_TOL * sv.max():
-        raise NotComplementary(
-            "concatenated range/kernel basis is numerically singular", gap=gap)
-    c_modes = up @ np.linalg.inv(pair)[:, :2]
+    spans, certs = _by_side(side_span)
+    (up, um), c_modes, gap = _blocked_projector(spans)
     smat = _sine_matrix(ns)
 
     def lift(blocks):  # (mode, 4, c) -> (I_4 x S) blockdiag(blocks)
@@ -686,9 +768,7 @@ def _path_spaces_modes(opd, trace_degree):
     # S and every mode's singular vectors are orthonormal, so the lifts are
     bp = SubspaceBasis._orthonormal(lift(up), PATH_RANK_TOL)
     bm = SubspaceBasis._orthonormal(lift(um), PATH_RANK_TOL)
-    proj = Projector(cmat, idempotence_defect(cmat), bp, bm,
-                     {"gap": gap, "trace_stability": max(stab_p, stab_m),
-                      "mode_backward_error": max(err_p, err_m)})
+    proj = Projector(cmat, idempotence_defect(cmat), bp, bm, {"gap": gap, **certs})
     return _dz_phase(proj, layout, opd)
 
 

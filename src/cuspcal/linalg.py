@@ -46,7 +46,8 @@ def fro(a):
 
 
 def idempotence_defect(c):
-    """|C^2 - C| relative to max(1, |C|)."""
+    """|C^2 - C| relative to max(1, |C|); for a stack of square blocks C,
+    that of their block diagonal."""
     c = _inexact(c)
     return fro(c @ c - c) / max(1.0, fro(c))
 

@@ -419,14 +419,15 @@ def c08_ucnf(seed):
     return bad == 0, rows, f"nonzero shadow dimensions: {bad}/100 checks"
 
 
-def toy_path_row(op, jump, S, ns):
-    """Paths A and B on the doubled 1-D toy grid (S, ns): the table row
-    (ns, h, path_gap, idem_spaces, idem_jump) and both projectors."""
-    grid = PhiGrid("HalfLineToy", S=S, ns=ns)
-    dop = double_geometry(grid, discretize(op, grid))
+def toy_path_row(opd, jump):
+    """Paths A and B on the doubled grid of the discretized 1-D toy `opd`:
+    the table row (ns, h, path_gap, idem_spaces, idem_jump) and both
+    projectors."""
+    grid = opd.grid
+    dop = double_geometry(grid, opd)
     pa = calderon_path_spaces(dop).projector
     pb = calderon_path_jump(dop, jump)
-    row = {"ns": ns, "h": grid.hs, "path_gap": fro(pa.matrix - pb.matrix),
+    row = {"ns": grid.ns, "h": grid.hs, "path_gap": fro(pa.matrix - pb.matrix),
            "idem_spaces": pa.idem_defect, "idem_jump": pb.idem_defect}
     return row, pa, pb
 
@@ -437,12 +438,14 @@ def c09_path_agreement(seed):
     slope_min = TOLERANCES["path_slope"]
     op = halfline_toy(q=1.0)
     jump = jump_operator(op)
-    rows = [toy_path_row(op, jump, TOY_S, ns)[0] for ns in TOY_GRIDS]
+    rows = [toy_path_row(discretize(op, PhiGrid("HalfLineToy", S=TOY_S, ns=ns)), jump)[0]
+            for ns in TOY_GRIDS]
     gaps = [row["path_gap"] for row in rows]
     slope = float(np.polyfit(np.log([row["h"] for row in rows]), np.log(gaps), 1)[0])
     # default-grid idempotence bar for both discrete projectors (reported
     # alongside the asserted convergence figures)
-    row, pa, pb = toy_path_row(op, jump, TOY_DEFAULT_S, TOY_DEFAULT_NS)
+    grid = PhiGrid("HalfLineToy", S=TOY_DEFAULT_S, ns=TOY_DEFAULT_NS)
+    row, pa, pb = toy_path_row(discretize(op, grid), jump)
     rows.append({**row, "note": "default-grid"})
     idem_bar = TOLERANCES["discrete_idem"]
     idem_ok = max(pa.idem_defect, pb.idem_defect) <= idem_bar

@@ -169,6 +169,18 @@ class TestParseConfig:
         assert f"coefficients: {refusal} (alpha = 0)" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_toy_above_order_two_is_input_error(self, tmp_path, capsys):
+        # the stencils are second order; `discrete` used to let their bare
+        # ValueError escape main
+        doc = json.loads((CONFIG_DIR / "halfline_toy.json").read_text())
+        doc["order"] = 3
+        doc["coefficients"].append({"k": 3, "alpha": 0, "beta": 0, "poly": [[0, 0, 1.0, 0.0]]})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["discrete", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "coefficients: second-order stencils support order <= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestArtifacts:
     def test_projector_roundtrip(self, tmp_path):

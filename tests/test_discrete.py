@@ -506,21 +506,48 @@ def relative_gap(a, b):
 
 
 def recording_routes(monkeypatch):
-    """Route of each strip body, in the order of the bodies: "z modes",
-    "mirror" (the g_lo sweep and its reflection) or "sweep"."""
-    seen, invariant, mirrored = [], discrete._line_invariant, discrete._mirrored
+    """(solver, projector route) of each strip body, in the order of the
+    bodies: the solver is "z modes" or "sweep"; the route is "halves" when
+    the body solves for its g_lo data alone (both bodies mirrored), else
+    "spans"."""
+    seen = []
+    for name, solver in (("_dst_body", "z modes"), ("_sweep_body", "sweep")):
+        def record(blocks, kept, side, full, solve=getattr(discrete, name), solver=solver):
+            seen.append((solver, "spans" if full else "halves"))
+            return solve(blocks, kept, side, full)
 
-    def line_invariant(blocks):
-        seen.append("z modes" if invariant(blocks) else None)
-        return seen[-1] is not None
-
-    def mirror(blocks):
-        seen[-1] = "mirror" if mirrored(blocks) else "sweep"
-        return seen[-1] == "mirror"
-
-    monkeypatch.setattr(discrete, "_line_invariant", line_invariant)
-    monkeypatch.setattr(discrete, "_mirrored", mirror)
+        monkeypatch.setattr(discrete, name, record)
     return seen
+
+
+def two_spans(dop, trace_degree):
+    """_path_spaces_sweep with no body taken for its own mirror: every body
+    solves for the data of both interfaces, and C comes from the whole
+    spans."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrete, "_mirrored", lambda blocks: False)
+        return _path_spaces_sweep(dop, trace_degree)
+
+
+def reflection(n_int):
+    """R (v0, Dv0, vL, DvL) = (vL, -DvL, v0, -Dv0): the data map of the
+    reflection that swaps the two interfaces."""
+    eye, zero = np.eye(n_int), np.zeros((n_int, n_int))
+    return np.block([[zero, zero, eye, zero], [zero, zero, zero, -eye],
+                     [eye, zero, zero, zero], [zero, -eye, zero, zero]])
+
+
+CERTIFICATE_OPERATORS = {"laplacian": SEPARABLE["laplacian"],
+                         "x-dependent": NOT_SEPARABLE["x-dependent"]}
+# each operator's routes at n = 24, compared with the first: the s modes,
+# the parity halves (`_path_spaces_sweep`), the two spans and the whole-body LU
+CERTIFICATE_ROUTES = {"laplacian": (_path_spaces_modes, _path_spaces_sweep, two_spans, lu_oracle),
+                      "x-dependent": (_path_spaces_sweep, two_spans, lu_oracle)}
+
+
+def certificate_case(name, rank_tol, reason):
+    prefix = "" if name == "laplacian" else f"{name}-"  # the Laplacian's cases keep short ids
+    return pytest.param(name, rank_tol, reason, id=f"{prefix}{rank_tol}-{reason}")
 
 
 def failing_at(call, name, message):
@@ -585,7 +612,7 @@ class TestStripRoutes:
         dop = doubled_strip(NOT_SEPARABLE[name], 24)
         seen = recording_splu(monkeypatch)
         bodies, body_blocks = [], discrete._body_blocks
-        spans, from_span = [], SubspaceBasis.from_span.__func__
+        spans, from_span, blocked = [], SubspaceBasis.from_span.__func__, discrete._blocked_projector
 
         def recording_blocks(*args):
             blocks = body_blocks(*args)
@@ -596,13 +623,19 @@ class TestStripRoutes:
             spans.append(vectors.dtype)
             return from_span(cls, vectors, **kwargs)
 
+        def recording_halves(halves):
+            spans.extend(h.dtype for h in halves)
+            return blocked(halves)
+
         monkeypatch.setattr(discrete, "_body_blocks", recording_blocks)
         monkeypatch.setattr(SubspaceBasis, "from_span", classmethod(recording_span))
+        monkeypatch.setattr(discrete, "_blocked_projector", recording_halves)
         path = calderon_path_spaces(dop)
         c = path.projector.matrix
         assert seen == []  # the strip factors nothing
-        assert bodies == [dtype, dtype]  # one sweep per body
-        assert spans == [dtype, dtype]  # the spans stay in the body's dtype
+        assert bodies == [dtype, dtype]  # one solve per body
+        # the spans, or their parity halves, stay in the body's dtype
+        assert spans == [dtype, dtype]
         assert c.dtype == np.complex128  # the D_z phase is applied to the result
         assert path.b_plus.basis.dtype == path.b_minus.basis.dtype == np.complex128
         assert relative_gap(path, lu_oracle(dop)) <= 1e-11
@@ -648,11 +681,15 @@ class TestStripRoutes:
         assert abs(np.trace(proj.matrix) - 2 * (n - 1)) <= 1e-9
 
     def test_singular_line_block_raises(self, monkeypatch):
-        monkeypatch.setattr(discrete, "sla", failing_at(5, "inv", "singular matrix"))
-        dop = doubled_strip(NOT_SEPARABLE["xz-dependent"], 24)
-        # the sweep runs down from line nz - 1 = 23 of the plus body
-        with pytest.raises(SolveFailure, match=r"sweep, side \+1, line 19: singular matrix"):
-            calderon_path_spaces(dop)
+        # the sweep runs down from line nz - 1 = 23 of the first body that
+        # sweeps: the plus body of the xz-dependent operator (two spans), the
+        # minus body of the x-dependent one (parity halves)
+        for name, side in (("xz-dependent", r"\+1"), ("x-dependent", "-1")):
+            monkeypatch.setattr(discrete, "sla", failing_at(5, "inv", "singular matrix"))
+            dop = doubled_strip(NOT_SEPARABLE[name], 24)
+            with pytest.raises(SolveFailure,
+                               match=rf"^strip sweep, side {side}, line 19: singular matrix$"):
+                calderon_path_spaces(dop)
 
     def test_backward_error_above_bound_raises(self, monkeypatch):
         monkeypatch.setattr(discrete, "SWEEP_TOL", 1e-30)
@@ -660,7 +697,8 @@ class TestStripRoutes:
         with pytest.raises(SolveFailure, match=r"sweep, side \+1, line 1: backward error .* exceeds"):
             calderon_path_spaces(dop)
 
-    # the s modes of an s-separable operator; the z modes of the plus body
+    # the s modes of an s-separable operator; the z modes of the plus body,
+    # under the parity halves
     MODE_ROUTES = [("strip s modes", SEPARABLE["laplacian"]),
                    ("strip z modes", NOT_SEPARABLE["x-dependent"])]
 
@@ -684,14 +722,14 @@ class TestStripRoutes:
 
     @pytest.mark.parametrize("n", (24, 48))
     @pytest.mark.parametrize("name,bump,routes", [
-        ("x-dependent", DEFAULT_BUMP, ("z modes", "mirror")),
-        ("x-dependent complex", DEFAULT_BUMP, ("z modes", "mirror")),
-        # asymmetric about 3L/2: the minus body falls back to the full sweep
-        ("x-dependent", Bump(1.0, (1.1, 1.7)), ("z modes", "sweep")),
-        ("x-dependent complex", Bump(1.0, (1.1, 1.7)), ("z modes", "sweep")),
-        ("x-dependent", None, ("z modes", "z modes")),
-        ("cross", DEFAULT_BUMP, ("sweep", "sweep")),
-        ("xz-dependent", DEFAULT_BUMP, ("sweep", "sweep")),
+        ("x-dependent", DEFAULT_BUMP, (("z modes", "halves"), ("sweep", "halves"))),
+        ("x-dependent complex", DEFAULT_BUMP, (("z modes", "halves"), ("sweep", "halves"))),
+        # asymmetric about 3L/2: the minus body is not its own mirror
+        ("x-dependent", Bump(1.0, (1.1, 1.7)), (("z modes", "spans"), ("sweep", "spans"))),
+        ("x-dependent complex", Bump(1.0, (1.1, 1.7)), (("z modes", "spans"), ("sweep", "spans"))),
+        ("x-dependent", None, (("z modes", "halves"), ("z modes", "halves"))),
+        ("cross", DEFAULT_BUMP, (("sweep", "spans"), ("sweep", "spans"))),
+        ("xz-dependent", DEFAULT_BUMP, (("sweep", "spans"), ("sweep", "spans"))),
     ])
     def test_body_routes_match_lu_oracle(self, name, bump, routes, n, monkeypatch):
         dop = doubled_strip(NOT_SEPARABLE[name], n, bump=bump)
@@ -700,56 +738,102 @@ class TestStripRoutes:
         path = calderon_path_spaces(dop)
         assert tuple(seen) == routes
         certs = path.projector.certs
-        names = {"mode_backward_error": "z modes" in routes,
-                 "line_backward_error": routes != ("z modes", "z modes")}
+        solvers = [solver for solver, _ in routes]
+        names = {"mode_backward_error": "z modes" in solvers,
+                 "line_backward_error": "sweep" in solvers}
         for cert, ran in names.items():
             assert (cert in certs) == ran
             assert not ran or 0.0 < certs[cert] <= discrete.SWEEP_TOL
         assert relative_gap(path, lu_oracle(dop)) <= 1e-11
 
+    # every operator whose bodies are both their own mirror: no z-dependent
+    # coefficient and no odd power of D_z, under a symmetric bump or none
+    @pytest.mark.parametrize("ns,nz", [(24, 24), (48, 48), (24, 25)])
+    @pytest.mark.parametrize("name,bump", [
+        ("x-dependent", DEFAULT_BUMP), ("x-dependent complex", DEFAULT_BUMP),
+        ("odd-k", DEFAULT_BUMP), ("x-dependent", None)])
+    def test_parity_route_matches_two_spans(self, name, bump, ns, nz, monkeypatch):
+        dop = doubled_strip(NOT_SEPARABLE[name], ns, nz, bump=bump)
+        seen = recording_routes(monkeypatch)
+        path = calderon_path_spaces(dop)
+        spans = two_spans(dop, None)
+        assert [route for _, route in seen] == ["halves", "halves", "spans", "spans"]
+        assert relative_gap(path, spans) <= 1e-12
+        assert relative_gap(path, lu_oracle(dop)) <= 1e-11
+        assert path.b_plus.dim == path.b_minus.dim == 2 * (ns - 1)
+        for basis in (path.b_plus, path.b_minus):
+            q = basis.orthonormal()
+            assert fro(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-13 * q.shape[1]
+        certs, ref = path.projector.certs, spans.projector.certs
+        assert certs.keys() == ref.keys()
+        assert certs["gap"] == pytest.approx(ref["gap"], rel=1e-10, abs=0.0)
+        assert path.projector.idem_defect <= 1e-12
+
+    @pytest.mark.parametrize("bump,route", [(DEFAULT_BUMP, "halves"),
+                                            (Bump(1.0, (1.1, 1.7)), "spans")])
+    def test_projector_commutes_with_the_reflection(self, bump, route, monkeypatch):
+        # the negative control: an asymmetric bump breaks the symmetry
+        n = 24
+        seen = recording_routes(monkeypatch)
+        c = calderon_path_spaces(
+            doubled_strip(NOT_SEPARABLE["x-dependent"], n, bump=bump)).projector.matrix
+        assert {r for _, r in seen} == {route}
+        r = reflection(n - 1)
+        defect = fro(r @ c - c @ r) / fro(c)
+        assert defect <= 1e-13 if route == "halves" else defect > 1e-6
+
     @pytest.mark.parametrize("name,side", [("x-dependent", -1), ("cross", +1)])
-    def test_mirror_branch_matches_full_sweep(self, name, side, monkeypatch):
-        # a body made its own mirror; A_j is diagonal for the x-dependent
-        # operator, tridiagonal for the cross term
+    def test_mirror_branch_matches_full_sweep(self, name, side):
+        # the g_lo sweep (M_j alone) against the first n columns of the full
+        # sweep ([M_j | N_j]), on a body made its own mirror and on the body
+        # as assembled; A_j is diagonal for the x-dependent operator,
+        # tridiagonal for the cross term
         blocks = discrete._body_blocks(
             doubled_strip(NOT_SEPARABLE[name], 24, bump=Bump(1.0, (1.1, 1.7))), side)
-        blocks[13:24] = blocks[11:0:-1, ::-1]  # line j > 12 copies line 24 - j, A and C swapped
-        blocks[12, 2] = blocks[12, 0]
-        assert discrete._mirrored(blocks)
+        assert not discrete._mirrored(blocks)
+        mirrored = blocks.copy()
+        mirrored[13:24] = mirrored[11:0:-1, ::-1]  # line j > 12 copies line 24 - j, A and C swapped
+        mirrored[12, 2] = mirrored[12, 0]
+        assert discrete._mirrored(mirrored)
         assert bool(blocks[1:-1, 0, [0, 2]].any()) == (name == "cross")
         kept = np.r_[0:6, 19:25]
-        u, err = discrete._sweep_body(blocks, kept, side)
-        monkeypatch.setattr(discrete, "_mirrored", lambda blocks: False)
-        ref, ref_err = discrete._sweep_body(blocks, kept, side)
-        assert fro(u - ref) <= 1e-13 * fro(ref)
-        assert 0.0 < err <= discrete.SWEEP_TOL and 0.0 < ref_err <= discrete.SWEEP_TOL
+        for b in (mirrored, blocks):
+            u, err = discrete._sweep_body(b, kept, side, False)
+            ref, ref_err = discrete._sweep_body(b, kept, side, True)
+            assert u.shape[2] == 23 and ref.shape[2] == 46
+            assert fro(u - ref[:, :, :23]) <= 1e-13 * fro(ref[:, :, :23])
+            assert 0.0 < err <= discrete.SWEEP_TOL and 0.0 < ref_err <= discrete.SWEEP_TOL
 
-    @pytest.mark.parametrize("rank_tol,reason", [
-        (0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
+    @pytest.mark.parametrize("name,rank_tol,reason", [certificate_case(*case) for case in [
+        ("laplacian", 0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
         # at n = 24 the sv ratios are 0.113 (B+), 0.115 (B-), 0.111 ([B+|B-])
-        (0.112, "numerically singular"),
-    ])
-    def test_certificates_match_lu_route(self, rank_tol, reason, monkeypatch):
+        ("laplacian", 0.112, "numerically singular"),
+        ("x-dependent", 0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
+        # and 0.118 (B+), 0.120 (B-), 0.116 ([B+|B-])
+        ("x-dependent", 0.117, "numerically singular"),
+    ]])
+    def test_certificates_match_lu_route(self, name, rank_tol, reason, monkeypatch):
         monkeypatch.setattr(discrete, "PATH_RANK_TOL", rank_tol)
-        dop = doubled_strip(SEPARABLE["laplacian"], 24)
+        dop = doubled_strip(CERTIFICATE_OPERATORS[name], 24)
         errs = []
-        for route in (_path_spaces_modes, _path_spaces_sweep, lu_oracle):
+        for route in CERTIFICATE_ROUTES[name]:
             with pytest.raises(NotComplementary, match=reason) as info:
                 route(dop, None)
             errs.append(info.value)
-        assert str(errs[0]) == str(errs[1])
         for err in errs[1:]:
+            assert str(err) == str(errs[0])
             assert err.gap == pytest.approx(errs[0].gap, rel=1e-10, abs=0.0)
 
     def test_every_route_reports_the_gap(self):
-        # the mode route's gap is the smallest over the modes; the others
-        # take it from the SVD of the whole pair
-        dop = doubled_strip(SEPARABLE["laplacian"], 24)
-        gaps = [route(dop, None).projector.certs["gap"]
-                for route in (_path_spaces_modes, _path_spaces_sweep, lu_oracle)]
-        assert 0.0 < gaps[0] < 1.0
-        for gap in gaps[1:]:
-            assert gap == pytest.approx(gaps[0], rel=1e-10, abs=0.0)
+        # the mode route's gap is the smallest over the modes, the parity
+        # route's over the halves; the others take it from the SVD of the
+        # whole pair
+        for name, routes in CERTIFICATE_ROUTES.items():
+            dop = doubled_strip(CERTIFICATE_OPERATORS[name], 24)
+            gaps = [route(dop, None).projector.certs["gap"] for route in routes]
+            assert 0.0 < gaps[0] < 1.0
+            for gap in gaps[1:]:
+                assert gap == pytest.approx(gaps[0], rel=1e-10, abs=0.0)
         grid = PhiGrid("HalfLineToy", S=6.0, ns=48)
         toy = calderon_path_spaces(double_geometry(grid, discretize(halfline_toy(), grid)))
         assert toy.projector.certs["gap"] == pytest.approx(
