@@ -29,7 +29,6 @@ from .fibre import (
     FibreODE,
     ModelOperator,
     boundary_data_space,
-    full_ellipticity_scan,
     fundamental_matrix,
     minus_boundary_data_space,
     normal_calderon,

@@ -387,8 +387,6 @@ def cmd_discrete(cfg, op):
         write_csv(out / "discrete_toy.csv", rows)
     else:
         ext = default_extension(op)
-        if ext is None:
-            raise SchemaError("geometry", "strip discrete run needs an interval fibre")
         for ns in (cfg.ns // 4, cfg.ns // 2, cfg.ns):
             nz = max(16, (cfg.nz * ns) // cfg.ns)
             grid = PhiGrid("StripHyperbolic", S=cfg.S, ns=ns,

@@ -2,7 +2,9 @@
 
 Coordinates: s = 1/x (uniform grid, singular end truncated at s = S with
 homogeneous Dirichlet rows), fibre coordinate z on [0, L]. In s the cusp
-derivative is constant-coefficient: x^2 d/dx = -d/ds.
+derivative is constant-coefficient: x^2 d/dx = -d/ds. A grid belongs to one
+operator: its geometry (one of fibre.GEOMETRIES), and on the strip its L,
+are the operator's.
 
 Two routes to the discrete Calderon projector:
   path A (`calderon_path_spaces`): plus/minus boundary-data spaces of the
@@ -14,8 +16,9 @@ Two routes to the discrete Calderon projector:
     the projector splits into an even and an odd half under the
     reflection that swaps the interfaces, and each body solves only for
     the data of one interface. It runs in the dtype of the bodies, on
-    derivative jets, and applies the D-jet phase to the result;
-  path B (`calderon_path_jump`, 1-D geometries): the jump formula
+    derivative jets, and applies the D-jet phase to the result. The
+    projector's range and kernel bases are B+ and B-;
+  path B (`calderon_path_jump`, the 1-D toy): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
 
@@ -36,7 +39,7 @@ from .errors import (
     SolveFailure,
     TraceUnstable,
 )
-from .fibre import Bump, ModelOperator, normal_calderon
+from .fibre import GEOMETRIES, Bump, ModelOperator, normal_calderon
 from .linalg import (
     Projector,
     SubspaceBasis,
@@ -76,7 +79,7 @@ class PhiGrid:
     doubled: bool = False
 
     def __post_init__(self):
-        if self.geometry not in ("HalfLineToy", "StripHyperbolic"):
+        if self.geometry not in GEOMETRIES:
             raise ValueError(f"no discrete geometry {self.geometry!r}")
         if not 4 <= self.S < math.inf:
             raise ValueError("truncation S must be finite and >= 4")
@@ -132,11 +135,13 @@ def discretize(op, grid):
     """Second-order finite-difference discretization on the (undoubled) grid.
 
     Dirichlet identity rows at the truncated singular end and at the other
-    boundary lines.
+    boundary lines. A strip grid must span the operator's fibre.
     """
     if op.geometry != grid.geometry:
         raise GeometryMismatch(
             f"operator geometry {op.geometry} != grid geometry {grid.geometry}")
+    if op.fibre.kind == "interval" and grid.L != op.fibre.length:
+        raise GeometryMismatch(f"grid length L = {grid.L} != fibre length {op.fibre.length}")
     if grid.doubled:
         raise ValueError("discretize expects the undoubled grid")
     return _assemble(op, grid, None)
@@ -144,11 +149,12 @@ def discretize(op, grid):
 
 def double_geometry(grid, opd, bump=None):
     """Operator on the doubled geometry: identical to `opd` on the plus
-    side, mirrored coefficients plus the optional bump on the minus side."""
+    side, mirrored coefficients plus the optional bump on the minus side.
+    `grid` must be the grid of `opd`."""
     if opd.grid.doubled:
         raise ValueError("operator already doubled")
-    if grid.geometry != opd.grid.geometry:
-        raise GeometryMismatch("grid/operator geometry mismatch")
+    if grid != opd.grid:
+        raise GeometryMismatch(f"{grid} is not the grid of the operator, {opd.grid}")
     return _assemble(opd.model, grid.doubled_copy(), bump)
 
 
@@ -244,21 +250,21 @@ def _trace_weights(h, side, njet, degree):
 
 @dataclass
 class PathProjection:
-    """Path-A result: the discrete projector and its boundary-data spaces.
-    `projector.certs` holds the direct-sum gap of the two spaces and the
-    largest stability report of the one-sided traces of the body solutions
-    (`gap`, `trace_stability`)."""
+    """Path-A result: the discrete projector, whose range and kernel bases
+    are the boundary-data spaces B+ and B-. `projector.certs` holds the
+    direct-sum gap of the two spaces and the largest stability report of
+    the one-sided traces of the body solutions (`gap`, `trace_stability`)."""
 
     projector: Projector
-    b_plus: SubspaceBasis
-    b_minus: SubspaceBasis
     layout: dict
     operator: GridOperator
 
 
-def calderon_path_spaces(opd, trace_degree=None):
+def calderon_path_spaces(opd):
     """Discrete Calderon projector with range B+ and kernel B-: boundary
-    jets of the one-sided discrete Dirichlet problems on the doubled grid.
+    jets of the one-sided discrete Dirichlet problems on the doubled grid,
+    extrapolated with degree p = m + 1 from p + 2 layers of each body
+    (`one_sided_trace`; every body has at least 16).
 
     On the strip, an s-separable operator is solved one sine mode in s at a
     time. Every other operator is solved body by body: one sine mode in z
@@ -271,10 +277,10 @@ def calderon_path_spaces(opd, trace_degree=None):
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
-        return _path_spaces_toy(opd, trace_degree)
+        return _path_spaces_toy(opd)
     if _s_separable(opd.model):
-        return _path_spaces_modes(opd, trace_degree)
-    return _path_spaces_sweep(opd, trace_degree)
+        return _path_spaces_modes(opd)
+    return _path_spaces_sweep(opd)
 
 
 def _by_side(side_data):
@@ -347,15 +353,15 @@ def _dz_phase(proj, layout, opd):
     bp, bm = rotate(proj.range_basis), rotate(proj.kernel_basis)
     cmat = np.outer(phase, phase.conj()) * proj.matrix
     return PathProjection(replace(proj, matrix=cmat, range_basis=bp, kernel_basis=bm),
-                          bp, bm, layout, opd)
+                          layout, opd)
 
 
-def _path_spaces_toy(opd, trace_degree):
+def _path_spaces_toy(opd):
     op = opd.model
     m, n = op.order, op.system_size
     if m < 1:
         raise ValueError("path construction needs order >= 1")
-    p = _trace_degree(opd, trace_degree)
+    p = m + 1
     ns, h = opd.grid.ns, opd.grid.hs
     interior = np.ones(ns + 1, dtype=bool)
     interior[[0, -1]] = False  # interface and truncated end
@@ -386,30 +392,14 @@ def _s_separable(op):
                for (k, _, _), pm in op.coefficients.items())
 
 
-def _trace_degree(opd, trace_degree):
-    """Checked extrapolation degree p of the path-A jets (default m + 1): the
-    jets need D^(m-1), so p >= m - 1, and one_sided_trace reads p + 2 layers
-    of each body, which has ns (toy) or nz (strip) of them past the
-    interface."""
-    m = opd.model.order
-    p = m + 1 if trace_degree is None else trace_degree
-    name = "ns" if opd.grid.geometry == "HalfLineToy" else "nz"
-    layers = getattr(opd.grid, name)
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not m - 1 <= p <= layers - 2:
-        raise ValueError(f"trace_degree must be an integer in [{m - 1}, {layers - 2}] "
-                         f"for order {m} on a grid with {name} = {layers}, got {p!r}")
-    return int(p)
-
-
-def _strip_setup(opd, trace_degree):
+def _strip_setup(opd):
     m = opd.model.order
     if m != 2 or opd.model.system_size != 1:
         raise ValueError("strip path construction is implemented for scalar order-2 operators")
-    p = _trace_degree(opd, trace_degree)
     ns = opd.grid.ns
     layout = {"geometry": "StripHyperbolic", "m": m, "N": 1, "n_int": ns - 1,
               "s_interior": opd.grid.s_nodes()[1:ns], "data_dim": 4 * (ns - 1)}
-    return m, p, layout
+    return m, m + 1, layout
 
 
 def _body_lines(grid, side):
@@ -433,7 +423,7 @@ def _jet_rows(u, hz, m, p, side):
     return [lo[0], lo[1], hi[0], hi[1]], max(stab_a, stab_b)
 
 
-def _path_spaces_sweep(opd, trace_degree):
+def _path_spaces_sweep(opd):
     """Strip path A body by body, in z.
 
     Grouped by z line, the interior-s unknowns of a body satisfy
@@ -464,7 +454,7 @@ def _path_spaces_sweep(opd, trace_degree):
     for its g_hi data, and C comes from the two whole spans
     (`_path_from_spans`).
     """
-    m, p, layout = _strip_setup(opd, trace_degree)
+    m, p, layout = _strip_setup(opd)
     grid = opd.grid
     nz, k = grid.nz, p + 2
     kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
@@ -711,7 +701,7 @@ def _sweep_body(blocks, kept, side, full):
     return out, worst
 
 
-def _path_spaces_modes(opd, trace_degree):
+def _path_spaces_modes(opd):
     """Strip path A for an s-separable operator, by fast diagonalisation.
 
     With the same-line block A0 and the next-line block A1 of the assembled
@@ -726,7 +716,7 @@ def _path_spaces_modes(opd, trace_degree):
     modes, so its gap is the smallest over the modes. The idempotence
     defect is that of the lifted matrix.
     """
-    m, p, layout = _strip_setup(opd, trace_degree)
+    m, p, layout = _strip_setup(opd)
     grid = opd.grid
     ns, n_int, nzz = grid.ns, layout["n_int"], 2 * grid.nz
     line = opd.matrix[nzz : 2 * nzz]  # rows of the s line i = 1
@@ -957,20 +947,18 @@ def _snap_frequency(tau, S):
     return k * np.pi / (S - 1.0)
 
 
-def _wave_probe(path, freq, csym, window, eval_fraction):
+def _wave_probe(path, freq, csym, window):
     """Standing wave sin(freq (s - 1)) in each data slot q < k = len(csym)
     against the prediction csym[r, q] * wave in slots r < k. Returns the
-    per-slot sup relative errors where the bump on `window` exceeds
-    `eval_fraction` of its maximum, and the largest response in the slots
-    from k on (the leakage), relative to the prediction."""
-    if not 0 < eval_fraction <= 1:
-        raise ValueError(f"eval_fraction must lie in (0, 1], got {eval_fraction!r}")
+    per-slot sup relative errors where the bump on `window` reaches half
+    its maximum, and the largest response in the slots from k on (the
+    leakage), relative to the prediction."""
     n_int = path.layout["n_int"]
     s = path.layout["s_interior"]
     env = Bump(1.0, window)(s)
     if not np.any(env > 0):
         raise ValueError("evaluation window does not meet the grid")
-    mask = env >= eval_fraction * env.max()
+    mask = env >= 0.5 * env.max()
     wave = np.sin(freq * (s - 1.0)).astype(complex)
     k = csym.shape[0]
     errs, leak = [], 0.0
@@ -989,7 +977,7 @@ def _wave_probe(path, freq, csym, window, eval_fraction):
     return errs, leak
 
 
-def normal_probe(path, ext, tau, envelope, eval_fraction=0.5):
+def normal_probe(path, ext, tau, envelope):
     """Compare the discrete projector against the normal-family projector on
     oscillatory boundary data (standing wave in s) x (unit jet pattern).
 
@@ -999,19 +987,19 @@ def normal_probe(path, ext, tau, envelope, eval_fraction=0.5):
     carry an O(1/width) modulation error that no grid refinement removes.
     `envelope` = (lo, hi) is the evaluation window in s; the probe reports
     the sup relative error over the four jet patterns where the window bump
-    exceeds `eval_fraction` of its maximum.
+    reaches half its maximum.
     """
     if path.layout["geometry"] != "StripHyperbolic":
         raise GeometryMismatch("normal_probe runs on the strip geometry")
     tau_snap = _snap_frequency(tau, path.operator.grid.S)
     c4 = normal_calderon(path.operator.model, (tau_snap,), ext).matrix
-    errs, _ = _wave_probe(path, tau_snap, c4, envelope, eval_fraction)
+    errs, _ = _wave_probe(path, tau_snap, c4, envelope)
     return ProbeReport(max(errs), tuple(errs),
                        {"tau": tau, "tau_snapped": tau_snap,
                         "envelope": envelope})
 
 
-def symbol_probe(path, xi, point, width=2.0, eval_fraction=0.5):
+def symbol_probe(path, xi, point, width=2.0):
     """Compare the strip projector against the interior-symbol projector:
     localized oscillatory data e^{i xi (s - s0)} * bump at the z = 0
     interface versus the 2x2 frozen-symbol Calderon projector at the probe
@@ -1021,8 +1009,7 @@ def symbol_probe(path, xi, point, width=2.0, eval_fraction=0.5):
     xi_snap = _snap_frequency(xi, path.operator.grid.S)
     csym = calderon_symbol(_frozen_interface_symbol(path.operator.model, 1.0 / point),
                            (float(xi_snap),)).matrix
-    errs, leak = _wave_probe(path, xi_snap, csym, (point - width, point + width),
-                             eval_fraction)
+    errs, leak = _wave_probe(path, xi_snap, csym, (point - width, point + width))
     return ProbeReport(max(errs), tuple(errs),
                        {"xi": xi, "xi_snapped": xi_snap, "point": point,
                         "leakage": leak})

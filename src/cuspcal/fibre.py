@@ -27,13 +27,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     SubspaceBasis,
-    direct_sum_check,
     projector_from_pair,
 )
 
 # geometry -> (fibre kind, base dimension or None for either)
-GEOMETRIES = {"HalfLineToy": ("point", 0), "StripHyperbolic": ("interval", None),
-              "ExteriorToy": ("point", None)}
+GEOMETRIES = {"HalfLineToy": ("point", 0), "StripHyperbolic": ("interval", None)}
 
 
 @dataclass(frozen=True)
@@ -291,8 +289,8 @@ def normal_operator(op, mu, mu_cap=MU_CAP):
     """Freeze coefficients at x = 0 and substitute tau^k eta^alpha: the
     operator's normal family (built once, see _plus_family) at mu."""
     if op.fibre.kind != "interval":
-        raise PointFibre("normal_operator needs an interval fibre; "
-                         "use full_ellipticity_scan for point fibres")
+        raise PointFibre("normal_operator needs an interval fibre, not the point "
+                         f"fibre of {op.geometry}")
     tau, eta = _split_mu(op, mu)
     if not (math.isfinite(tau) and math.isfinite(eta)):
         raise ValueError(f"mu={mu} is not finite")
@@ -570,43 +568,3 @@ def normal_calderon(op, mu, ext):
                                gap=exc.gap, mu=mu) from None
     return replace(proj, certs={**proj.certs, **{key: max(certs_p[key], certs_m[key])
                                                  for key in certs_p}})
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    mu: tuple
-    min_sv: float
-    invertible: bool
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    rows: list
-    failing: list
-
-
-def full_ellipticity_scan(op, mu_grid, ext=None):
-    """Invertibility of the normal family over a mu grid.
-
-    Point fibres: N(P)(mu) is a matrix, so a singular-value check. Interval
-    fibres: the doubled normal operator (bump from `ext`, none if omitted)
-    is invertible exactly when B+(mu) and B-(mu) meet only in 0, so min_sv
-    is their direct-sum gap (see normal_calderon).
-    """
-    if ext is None and op.fibre.kind == "interval":
-        ext = FibreExtension(op.fibre.length)
-    rows = []
-    for mu in mu_grid:
-        mu_t = tuple(np.atleast_1d(mu).astype(float))
-        if op.fibre.kind == "point":
-            tau, eta = _split_mu(op, mu_t)
-            n = op.system_size
-            acc = np.zeros((n, n), dtype=complex)
-            for (k, alpha, beta), pm in op.coefficients.items():
-                acc += (tau**k) * (eta**alpha if alpha else 1.0) * pm.eval(0.0, 0.0)
-            sv = float(np.linalg.svd(acc, compute_uv=False)[-1])
-        else:
-            bp = boundary_data_space(normal_operator(op, mu_t))
-            sv = direct_sum_check(bp, minus_boundary_data_space(ext, op, mu_t)).gap
-        rows.append(ScanRow(mu_t, sv, bool(sv > 1e-6)))
-    return ScanReport(rows, [r.mu for r in rows if not r.invertible])

@@ -172,13 +172,6 @@ class Projector:
     def dim(self):
         return self.matrix.shape[0]
 
-    @property
-    def rank(self):
-        if self.range_basis is not None:
-            return self.range_basis.dim
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return int(np.sum(s > 0.5))
-
 
 def subspace_distance(u, v):
     """Spectral norm of the difference of the orthogonal projectors.

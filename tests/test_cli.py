@@ -360,10 +360,26 @@ class TestMain:
         assert status == 2
 
     def test_strip_discrete_needs_interval_fibre(self, tmp_path):
-        status = main(["discrete", "--config",
-                       str(CONFIG_DIR / "exterior_toy.json"),
-                       "--out", str(tmp_path / "o")])
+        # ExteriorToy names no geometry: the config is refused before any run
+        doc = json.loads((CONFIG_DIR / "halfline_toy.json").read_text())
+        doc.update(geometry="ExteriorToy", base_dim=1)
+        path = tmp_path / "exterior.json"
+        path.write_text(json.dumps(doc))
+        status = main(["discrete", "--config", str(path), "--out", str(tmp_path / "o")])
         assert status == 2
+
+    # exit codes of symbol, normal and discrete: the toy has no interface
+    # symbol and no normal family, but a discrete run
+    SHIPPED_STATUS = {"StripHyperbolic": [0, 0, 0], "HalfLineToy": [2, 2, 0]}
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_every_shipped_config_runs(self, name, tmp_path):
+        path = CONFIG_DIR / name
+        geometry = json.loads(path.read_text())["geometry"]
+        status = [main([sub, "--config", str(path), "--out", str(tmp_path / sub),
+                        "--ns", "64", "--nz", "16", "--tau-steps", "2"])
+                  for sub in ("symbol", "normal", "discrete")]
+        assert status == self.SHIPPED_STATUS.get(geometry), geometry
 
     def test_corrupted_config_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -24,7 +24,7 @@ from cuspcal.discrete import (
     _path_spaces_sweep,
 )
 from cuspcal.errors import GeometryMismatch, NotComplementary, SolveFailure, TraceUnstable
-from cuspcal.fibre import Bump, Fibre, FibreExtension, ModelOperator, full_ellipticity_scan
+from cuspcal.fibre import Bump, Fibre, FibreExtension, ModelOperator, normal_calderon
 from cuspcal.linalg import SubspaceBasis, direct_sum_check, fro, idempotence_defect
 from cuspcal.symbols import PolyMatrixSymbol, calderon_symbol
 
@@ -212,9 +212,29 @@ class TestDoubleGeometry:
     def test_fibre_slice_singular_without_bump(self):
         # zero-tau fibre mode of the doubled strip without bump is singular
         op = strip_laplacian()
-        assert full_ellipticity_scan(op, [(0.0,)]).rows[0].min_sv <= 1e-8
+        with pytest.raises(NotComplementary) as info:
+            normal_calderon(op, (0.0,), FibreExtension(1.0))
+        assert info.value.gap <= 1e-8
         ext = FibreExtension.with_default_bump(1.0)
-        assert full_ellipticity_scan(op, [(0.0,)], ext).rows[0].min_sv > 1e-3
+        assert normal_calderon(op, (0.0,), ext).certs["gap"] > 1e-3
+
+    def test_grid_must_be_the_operators(self):
+        # both used to assemble on the second grid (ns 32 -> 64, S 6 -> 9)
+        op = strip_laplacian()
+        g1 = PhiGrid("StripHyperbolic", S=6.0, ns=32, L=1.0, nz=16)
+        g2 = PhiGrid("StripHyperbolic", S=9.0, ns=64, L=1.0, nz=16)
+        with pytest.raises(GeometryMismatch, match="is not the grid of the operator"):
+            double_geometry(g2, discretize(op, g1))
+        toy = PhiGrid("HalfLineToy", S=6.0, ns=32)
+        with pytest.raises(GeometryMismatch, match="is not the grid of the operator"):
+            double_geometry(PhiGrid("HalfLineToy", S=6.0, ns=64), discretize(halfline_toy(), toy))
+
+    def test_strip_grid_must_span_the_fibre(self):
+        # L = 2 on a fibre of length 1 used to assemble, and path A returned
+        # a projector for it
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=16, L=2.0, nz=16)
+        with pytest.raises(GeometryMismatch, match=r"grid length L = 2.0 != fibre length 1.0"):
+            discretize(strip_laplacian(), grid)
 
 
 class TestJumpOperator:
@@ -438,10 +458,10 @@ def doubled_strip(coefficients, n, nz=None, bump=DEFAULT_BUMP):
     return double_geometry(grid, discretize(op, grid), bump=bump)
 
 
-def lu_oracle(dop, trace_degree=None):
+def lu_oracle(dop):
     """Strip path A by a complex sparse LU of each whole body, solving for
     every unknown: the oracle of the sweep and of the mode route."""
-    m, p, layout = discrete._strip_setup(dop, trace_degree)
+    m, p, layout = discrete._strip_setup(dop)
     grid = dop.grid
     ns, nj = grid.ns, grid.nz + 1
     ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
@@ -484,15 +504,6 @@ NOT_SEPARABLE = {
 }
 
 
-def trace_degree_routes():
-    """(route, doubled operator, grid size in the error) on the smallest grids:
-    16 z lines per strip body, 16 s nodes per toy body."""
-    grid = PhiGrid("HalfLineToy", S=6.0, ns=16)
-    return [("modes", doubled_strip(SEPARABLE["laplacian"], 16), "nz = 16"),
-            ("sweep", doubled_strip(NOT_SEPARABLE["x-dependent"], 16), "nz = 16"),
-            ("toy", double_geometry(grid, discretize(halfline_toy(), grid)), "ns = 16")]
-
-
 def recording_splu(monkeypatch):
     """Route discrete.spla.splu through a recorder of the matrix dtypes."""
     seen, splu = [], discrete.spla.splu
@@ -520,13 +531,13 @@ def recording_routes(monkeypatch):
     return seen
 
 
-def two_spans(dop, trace_degree):
+def two_spans(dop):
     """_path_spaces_sweep with no body taken for its own mirror: every body
     solves for the data of both interfaces, and C comes from the whole
     spans."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(discrete, "_mirrored", lambda blocks: False)
-        return _path_spaces_sweep(dop, trace_degree)
+        return _path_spaces_sweep(dop)
 
 
 def reflection(n_int):
@@ -571,39 +582,24 @@ class TestStripRoutes:
     def test_mode_route_matches_lu_route(self, name, n):
         dop = doubled_strip(SEPARABLE[name], n)
         assert bool(np.any(dop.matrix.data.imag)) == (name == "complex")
-        modes = _path_spaces_modes(dop, None)
-        sweep = _path_spaces_sweep(dop, None)
+        modes = _path_spaces_modes(dop)
+        sweep = _path_spaces_sweep(dop)
         assert relative_gap(modes, sweep) <= 1e-11
         assert relative_gap(modes, lu_oracle(dop)) <= 1e-11
         assert modes.layout["n_int"] == sweep.layout["n_int"] == n - 1
         np.testing.assert_array_equal(modes.layout["s_interior"], sweep.layout["s_interior"])
-        assert modes.b_plus.dim == modes.b_minus.dim == 2 * (n - 1)
+        proj = modes.projector
+        assert proj.range_basis.dim == proj.kernel_basis.dim == 2 * (n - 1)
 
-    @pytest.mark.parametrize("name,ns,nz,degree", [
-        ("x-dependent", 24, 24, None), ("odd-k", 24, 24, None), ("cross", 24, 24, None),
-        ("x-dependent", 40, 24, None), ("cross", 24, 40, None),
-        # the jets read 9 of the 16 lines next to each interface: the kept lines overlap
-        ("x-dependent", 16, 16, 7)])
-    def test_sweep_matches_lu_oracle(self, name, ns, nz, degree):
+    @pytest.mark.parametrize("name,ns,nz", [
+        ("x-dependent", 24, 24), ("odd-k", 24, 24), ("cross", 24, 24),
+        ("x-dependent", 40, 24), ("cross", 24, 40)])
+    def test_sweep_matches_lu_oracle(self, name, ns, nz):
         dop = doubled_strip(NOT_SEPARABLE[name], ns, nz)
-        sweep = _path_spaces_sweep(dop, degree)
-        assert relative_gap(sweep, lu_oracle(dop, degree)) <= 1e-11
-        assert sweep.b_plus.dim == sweep.b_minus.dim == 2 * (ns - 1)
-
-    def test_sweep_needs_enough_lines(self):
-        for route, dop, size in trace_degree_routes():
-            for degree in (15, 0, -1, 2.0, True, "3"):
-                with pytest.raises(ValueError, match=rf"trace_degree must be an integer in "
-                                                     rf"\[1, 14\] for order 2 on a grid with "
-                                                     rf"{size}, got {degree!r}"):
-                    calderon_path_spaces(dop, trace_degree=degree)
-
-    def test_trace_degree_edges_accepted(self):
-        # p = m - 1 and p + 2 = layers per body are the ends of the range
-        for route, dop, _ in trace_degree_routes():
-            for degree in (1, np.int64(14)):
-                path = calderon_path_spaces(dop, trace_degree=degree)
-                assert path.b_plus.dim == path.b_minus.dim, (route, degree)
+        sweep = _path_spaces_sweep(dop)
+        assert relative_gap(sweep, lu_oracle(dop)) <= 1e-11
+        proj = sweep.projector
+        assert proj.range_basis.dim == proj.kernel_basis.dim == 2 * (ns - 1)
 
     @pytest.mark.parametrize("name,dtype", [("x-dependent", np.float64),
                                             ("cross", np.float64),
@@ -637,12 +633,13 @@ class TestStripRoutes:
         # the spans, or their parity halves, stay in the body's dtype
         assert spans == [dtype, dtype]
         assert c.dtype == np.complex128  # the D_z phase is applied to the result
-        assert path.b_plus.basis.dtype == path.b_minus.basis.dtype == np.complex128
+        assert path.projector.range_basis.basis.dtype == np.complex128
+        assert path.projector.kernel_basis.basis.dtype == np.complex128
         assert relative_gap(path, lu_oracle(dop)) <= 1e-11
-        sweep = _path_spaces_sweep(dop, None).projector.matrix
+        sweep = _path_spaces_sweep(dop).projector.matrix
         np.testing.assert_array_equal(c, sweep)
         # the mode formula is wrong for these operators
-        forced = _path_spaces_modes(dop, None).projector.matrix
+        forced = _path_spaces_modes(dop).projector.matrix
         assert fro(forced - sweep) > 1e-6 * fro(sweep)
 
     @pytest.mark.parametrize("route,traces", [("modes", 4), ("sweep", 4), ("toy", 2)])
@@ -756,12 +753,13 @@ class TestStripRoutes:
         dop = doubled_strip(NOT_SEPARABLE[name], ns, nz, bump=bump)
         seen = recording_routes(monkeypatch)
         path = calderon_path_spaces(dop)
-        spans = two_spans(dop, None)
+        spans = two_spans(dop)
         assert [route for _, route in seen] == ["halves", "halves", "spans", "spans"]
         assert relative_gap(path, spans) <= 1e-12
         assert relative_gap(path, lu_oracle(dop)) <= 1e-11
-        assert path.b_plus.dim == path.b_minus.dim == 2 * (ns - 1)
-        for basis in (path.b_plus, path.b_minus):
+        bases = (path.projector.range_basis, path.projector.kernel_basis)
+        assert bases[0].dim == bases[1].dim == 2 * (ns - 1)
+        for basis in bases:
             q = basis.orthonormal()
             assert fro(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-13 * q.shape[1]
         certs, ref = path.projector.certs, spans.projector.certs
@@ -818,7 +816,7 @@ class TestStripRoutes:
         errs = []
         for route in CERTIFICATE_ROUTES[name]:
             with pytest.raises(NotComplementary, match=reason) as info:
-                route(dop, None)
+                route(dop)
             errs.append(info.value)
         for err in errs[1:]:
             assert str(err) == str(errs[0])
@@ -830,14 +828,15 @@ class TestStripRoutes:
         # whole pair
         for name, routes in CERTIFICATE_ROUTES.items():
             dop = doubled_strip(CERTIFICATE_OPERATORS[name], 24)
-            gaps = [route(dop, None).projector.certs["gap"] for route in routes]
+            gaps = [route(dop).projector.certs["gap"] for route in routes]
             assert 0.0 < gaps[0] < 1.0
             for gap in gaps[1:]:
                 assert gap == pytest.approx(gaps[0], rel=1e-10, abs=0.0)
         grid = PhiGrid("HalfLineToy", S=6.0, ns=48)
         toy = calderon_path_spaces(double_geometry(grid, discretize(halfline_toy(), grid)))
         assert toy.projector.certs["gap"] == pytest.approx(
-            direct_sum_check(toy.b_plus, toy.b_minus).gap, rel=1e-10, abs=0.0)
+            direct_sum_check(toy.projector.range_basis, toy.projector.kernel_basis).gap,
+            rel=1e-10, abs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -888,22 +887,6 @@ class TestProbes:
                 normal_probe(path, ext, 1.0, (49.0, 51.0))
             else:
                 symbol_probe(path, xi=8.0, point=50.0, width=1.0)
-
-    @pytest.mark.parametrize("probe", ["normal", "symbol"])
-    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, np.nan])
-    def test_eval_fraction_range(self, probe, fraction, strip_path):
-        # 1.5 used to select no point and fail inside numpy ("zero-size array")
-        path, ext = strip_path
-        with pytest.raises(ValueError, match=r"eval_fraction must lie in \(0, 1\]"):
-            if probe == "normal":
-                normal_probe(path, ext, 1.0, (6.0, 11.0), eval_fraction=fraction)
-            else:
-                symbol_probe(path, xi=8.0, point=6.0, eval_fraction=fraction)
-
-    def test_eval_fraction_one_accepted(self, strip_path):
-        path, ext = strip_path
-        rep = normal_probe(path, ext, 1.0, (6.0, 11.0), eval_fraction=1.0)
-        assert np.isfinite(rep.error)
 
     def test_symbol_probe_zero_data(self, strip_path):
         path, _ = strip_path

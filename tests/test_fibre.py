@@ -13,7 +13,6 @@ from cuspcal.fibre import (
     FibreODE,
     ModelOperator,
     boundary_data_space,
-    full_ellipticity_scan,
     fundamental_matrix,
     minus_boundary_data_space,
     normal_calderon,
@@ -127,7 +126,8 @@ class TestNonFiniteMu:
     def test_eta(self):
         op = ModelOperator(2, 1, 1, Fibre("interval", 1.0),
                            {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-        assert normal_calderon(op, (1.0, 0.5), FibreExtension.with_default_bump(1.0)).rank == 2
+        ext = FibreExtension.with_default_bump(1.0)
+        assert normal_calderon(op, (1.0, 0.5), ext).range_basis.dim == 2
         with pytest.raises(ValueError, match=r"mu=\(1.0, nan\) is not finite"):
             normal_operator(op, (1.0, float("nan")))
 
@@ -348,7 +348,7 @@ class TestNormalCalderon:
         op = strip_laplacian()
         ext = FibreExtension.with_default_bump(1.0)
         proj = normal_calderon(op, (tau,), ext)
-        assert proj.rank == 2
+        assert proj.range_basis.dim == 2
         assert proj.idem_defect <= 1e-8
         gcosh = np.array([1.0, 0.0, np.cosh(tau), np.sinh(tau) / 1j])
         np.testing.assert_allclose(proj.matrix @ gcosh, gcosh, atol=1e-9)
@@ -411,7 +411,7 @@ class TestNormalCalderon:
         ext = FibreExtension.with_default_bump(1.0)
         proj = normal_calderon(op, (1.3,), ext)
         assert proj.matrix.shape == (2, 2)
-        assert proj.rank == 1
+        assert proj.range_basis.dim == 1
 
     def test_mu_continuity(self):
         op = strip_laplacian()
@@ -429,39 +429,18 @@ class TestNormalCalderon:
 
 
 class TestFullEllipticityScan:
-    def test_exterior_toy_with_mass(self):
-        op = ModelOperator(2, 1, 1, Fibre("point"),
-                           {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 0): 1.0},
-                           geometry="ExteriorToy")
-        grid = [(t, e) for t in (-1.0, 0.0, 1.0) for e in (-1.0, 0.0, 1.0)]
-        rep = full_ellipticity_scan(op, grid)
-        assert rep.failing == []
-        assert min(r.min_sv for r in rep.rows) >= 1.0 - 1e-12
-
-    def test_exterior_toy_without_mass_fails_at_zero(self):
-        op = ModelOperator(2, 1, 1, Fibre("point"),
-                           {(2, 0, 0): 1.0, (0, 2, 0): 1.0},
-                           geometry="ExteriorToy")
-        grid = [(t, e) for t in (-1.0, 0.0, 1.0) for e in (-1.0, 0.0, 1.0)]
-        rep = full_ellipticity_scan(op, grid)
-        assert rep.failing == [(0.0, 0.0)]
-
     def test_strip_fails_exactly_at_tau_zero(self):
+        # the doubled strip Laplacian without a bump: N(P)(0) has the
+        # constants as a kernel, so B+ and B- meet; the bump lifts it
         op = strip_laplacian()
-        taus = [(-1.0,), (-0.5,), (0.0,), (0.5,), (1.0,)]
-        rep = full_ellipticity_scan(op, taus)
-        assert rep.failing == [(0.0,)]
-
-    @pytest.mark.parametrize("seed, tau", [
-        pytest.param(None, 0.5, id="0.5"), pytest.param(None, 2.0, id="2.0"),
-        pytest.param(None, 15.9, id="15.9"), pytest.param(802, 0.5, id="802-0.5"),
-        pytest.param(802, 15.9, id="802-15.9")])
-    def test_strip_gap_matches_normal_calderon(self, seed, tau):
-        # the scan and the projector read one companion path: equal bits
-        op = strip_laplacian() if seed is None else c08_system(seed)
-        ext = FibreExtension.with_default_bump(1.0)
-        rep = full_ellipticity_scan(op, [(tau,)], ext)
-        assert rep.rows[0].min_sv == normal_calderon(op, (tau,), ext).certs["gap"]
+        bare, bumped = FibreExtension(1.0), FibreExtension.with_default_bump(1.0)
+        with pytest.raises(NotComplementary) as info:
+            normal_calderon(op, (0.0,), bare)
+        assert info.value.gap <= 1e-8
+        assert normal_calderon(op, (0.0,), bumped).certs["gap"] > 1e-3
+        for tau in (-1.0, -0.5, 0.5, 1.0):
+            for ext in (bare, bumped):
+                assert normal_calderon(op, (tau,), ext).certs["gap"] > 1e-3
 
 
 class TestExtensionValidation:
@@ -472,7 +451,7 @@ class TestExtensionValidation:
     def test_bump_support_given_as_list(self):
         ext = FibreExtension(1.0, Bump(1.0, [1.15, 1.85]))
         assert ext == FibreExtension.with_default_bump(1.0)
-        assert normal_calderon(strip_laplacian(), (1.0,), ext).rank == 2
+        assert normal_calderon(strip_laplacian(), (1.0,), ext).range_basis.dim == 2
 
     def test_extension_length_must_match_fibre(self):
         with pytest.raises(ValueError, match="extension length 2.0 differs"):
@@ -500,6 +479,7 @@ class TestGeometry:
         # the toy's assembly read only (k, 0, 0) and dropped these terms
         ("HalfLineToy", 1, Fibre("point"), {(2, 0, 0): 1.0, (0, 2, 0): 5.0}),
         ("HalfLineToy", 0, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 0, 2): 1.0}),
+        # ExteriorToy and CuspDomain name no geometry
         ("ExteriorToy", 1, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 2, 0): 1.0}),
         ("StripHyperbolic", 0, Fibre("point"), {(2, 0, 0): 1.0}),
         ("CuspDomain", 0, Fibre("interval", 1.0), {(2, 0, 0): 1.0, (0, 0, 2): 1.0}),
@@ -598,19 +578,6 @@ def test_nan_tail_is_not_certified(monkeypatch):
         normal_calderon(strip_laplacian(), (2.0,), FibreExtension.with_default_bump(1.0))
 
 
-def test_exterior_toy_config_scan():
-    from pathlib import Path
-
-    from cuspcal.cli import load_config
-
-    path = Path(__file__).resolve().parents[1] / "configs" / "exterior_toy.json"
-    _, op = load_config(path)
-    assert op.geometry == "ExteriorToy"
-    grid = [(t, e) for t in (-2.0, 0.0, 2.0) for e in (-1.0, 0.0, 1.0)]
-    rep = full_ellipticity_scan(op, grid)
-    assert rep.failing == []
-
-
 def test_cusp_domain_variable_coefficients():
     # interval-fibre operator with x-dependent coefficients: the normal
     # family sees only the x = 0 jets, and the doubled extension still
@@ -626,5 +593,5 @@ def test_cusp_domain_variable_coefficients():
     assert np.max(np.abs(ode.coeff_values(0.4)[1])) <= 1e-14
     ext = FibreExtension.with_default_bump(1.0)
     proj = normal_calderon(op, (0.9,), ext)
-    assert proj.rank == 2
+    assert proj.range_basis.dim == 2
     assert proj.idem_defect <= 1e-8
