@@ -12,7 +12,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,8 +267,7 @@ def parse_config(text):
         op = ModelOperator(order, size, base_dim, fibre, coefficients, geometry=geometry)
     except (ValueError, CuspcalError) as exc:
         raise SchemaError("coefficients", str(exc)) from exc
-    allowed = {"ns", "nz", "S", "seed", "tau_min", "tau_max", "tau_steps",
-               "xi", "out_dir"}
+    allowed = {f.name for f in fields(RunConfig)} - {"suite"}
     unknown = set(run_doc) - allowed
     if unknown:
         raise SchemaError(f"run.{sorted(unknown)[0]}", "unknown run parameter")
@@ -393,7 +392,7 @@ def cmd_discrete(cfg, op):
                            L=op.fibre.length, nz=nz)
             dop = double_geometry(grid, _point_base(discretize, op, grid), bump=ext.bump)
             path = calderon_path_spaces(dop)
-            probe = normal_probe(path, ext, (cfg.tau_min + cfg.tau_max) / 2,
+            probe = normal_probe(path, (cfg.tau_min + cfg.tau_max) / 2,
                                  (1.0 + 0.4 * (cfg.S - 1.0), 1.0 + 0.9 * (cfg.S - 1.0)))
             sprobe = symbol_probe(path, xi=cfg.xi[-1],
                                   point=1.0 + 0.5 * (cfg.S - 1.0))

@@ -12,12 +12,12 @@ Two routes to the discrete Calderon projector:
     operator is solved one sine mode in s at a time, with one small
     projector per mode; otherwise each body is solved one sine mode in z
     at a time when its line blocks are the same on every line, else by a
-    block-tridiagonal sweep in z. When both bodies are their own mirror,
-    the projector splits into an even and an odd half under the
-    reflection that swaps the interfaces, and each body solves only for
-    the data of one interface. It runs in the dtype of the bodies, on
-    derivative jets, and applies the D-jet phase to the result. The
-    projector's range and kernel bases are B+ and B-;
+    block-tridiagonal sweep in z, each solve for the data of one interface
+    (the other's come from the body flipped in z). When both bodies are
+    their own mirror, the projector splits into an even and an odd half
+    under the reflection that swaps the interfaces. It runs in the dtype
+    of the bodies, on derivative jets, and applies the D-jet phase to the
+    result. The projector's range and kernel bases are B+ and B-;
   path B (`calderon_path_jump`, the 1-D toy): the jump formula
     C = gamma (Phat+Pi)^-1 gamma* J with discrete delta data.
 """
@@ -39,7 +39,7 @@ from .errors import (
     SolveFailure,
     TraceUnstable,
 )
-from .fibre import GEOMETRIES, Bump, ModelOperator, normal_calderon
+from .fibre import GEOMETRIES, Bump, FibreExtension, ModelOperator, normal_calderon
 from .linalg import (
     Projector,
     SubspaceBasis,
@@ -123,12 +123,14 @@ class PhiGrid:
 
 @dataclass
 class GridOperator:
-    """Sparse discretization; `dirichlet` indexes its identity rows."""
+    """Sparse discretization; `dirichlet` indexes its identity rows, and
+    `bump` is the minus-side bump assembled with it (None if none)."""
 
     grid: PhiGrid
     matrix: sp.csr_matrix
     dirichlet: np.ndarray
     model: ModelOperator
+    bump: Bump | None
 
 
 def discretize(op, grid):
@@ -150,11 +152,14 @@ def discretize(op, grid):
 def double_geometry(grid, opd, bump=None):
     """Operator on the doubled geometry: identical to `opd` on the plus
     side, mirrored coefficients plus the optional bump on the minus side.
-    `grid` must be the grid of `opd`."""
+    `grid` must be the grid of `opd`; on the strip the bump's support must
+    lie inside the minus side (L, 2L)."""
     if opd.grid.doubled:
         raise ValueError("operator already doubled")
     if grid != opd.grid:
         raise GeometryMismatch(f"{grid} is not the grid of the operator, {opd.grid}")
+    if grid.geometry == "StripHyperbolic":
+        FibreExtension(grid.L, bump)  # raises ValueError on a support outside (L, 2L)
     return _assemble(opd.model, grid.doubled_copy(), bump)
 
 
@@ -210,7 +215,7 @@ def _assemble(op, grid, bump):
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size)).tocsr()
-    return GridOperator(grid, mat, di, op)
+    return GridOperator(grid, mat, di, op, bump)
 
 
 def one_sided_trace(values, h, side, njet, degree, stability_tol=None):
@@ -269,11 +274,12 @@ def calderon_path_spaces(opd):
     On the strip, an s-separable operator is solved one sine mode in s at a
     time. Every other operator is solved body by body: one sine mode in z
     at a time when the body's line blocks are exactly the same on every
-    line, else by a block-tridiagonal sweep in z. When both bodies are
-    exactly their own mirror in z, the projector is built from its even and
-    odd halves under the reflection that swaps the two interfaces, else
-    from the two whole spans (see _path_spaces_sweep). The 1-D toy takes
-    one sparse LU of each body."""
+    line, else by a block-tridiagonal sweep in z, each solve for the data
+    of one interface (the other's come from the body flipped in z). When
+    both bodies are exactly their own mirror, the projector is built from
+    its even and odd halves under the reflection that swaps the two
+    interfaces, else from the two whole spans (see _path_spaces_sweep).
+    The 1-D toy takes one sparse LU of each body."""
     if not opd.grid.doubled:
         raise ValueError("path construction needs the doubled operator")
     if opd.grid.geometry == "HalfLineToy":
@@ -351,7 +357,8 @@ def _dz_phase(proj, layout, opd):
         return SubspaceBasis._orthonormal(phase[:, None] * basis.orthonormal(), basis.rank_tol)
 
     bp, bm = rotate(proj.range_basis), rotate(proj.kernel_basis)
-    cmat = np.outer(phase, phase.conj()) * proj.matrix
+    cmat = proj.matrix * phase[:, None]
+    cmat *= phase.conj()
     return PathProjection(replace(proj, matrix=cmat, range_basis=bp, kernel_basis=bm),
                           layout, opd)
 
@@ -431,49 +438,56 @@ def _path_spaces_sweep(opd):
     u_0 = g_lo and u_nz = g_hi on the interface lines. Every route is
     chosen from exact equalities of the blocks, never a tolerance.
 
-    The solver of each body:
+    Each solver finds the solutions with g_lo = e_c and g_hi = 0:
       - blocks the same on every line, with A = C (no z-dependent
         coefficient, no odd power of D_z; the plus body of an x-dependent
         operator): one tridiagonal s-problem per sine mode in z
         (`_dst_body`), certified by each mode's normwise backward error,
         reported as `certs["mode_backward_error"]`;
-      - otherwise a block-tridiagonal sweep (`_sweep_body`). A sweep down
-        from the far interface gives u_j = M_j u_{j-1} + N_j g_hi, where
-        K_j = B_j + C_j M_{j+1}, M_j = -K_j^-1 A_j and
-        N_j = -K_j^-1 C_j N_{j+1}. One pass back up carries the unit-data
-        solutions line by line and keeps only the lines that the jets read.
-        The largest normwise backward error of a line equation is reported
-        as `certs["line_backward_error"]`.
+      - otherwise a block-tridiagonal sweep (`_sweep_body`): a sweep down
+        from the far interface gives u_j = M_j u_{j-1}, with
+        K_j = B_j + C_j M_{j+1} and M_j = -K_j^-1 A_j, and one pass back up
+        keeps the lines that the jets read. The largest normwise backward
+        error of a line equation is `certs["line_backward_error"]`.
 
-    The projector: when both bodies are their own mirror under
-    j -> nz - j (`_mirrored`; a line-invariant body always is, and so is
-    the minus body with a symmetric bump), the doubled problem commutes
-    with the reflection that swaps the interfaces. Each body then solves for
-    its g_lo data alone, and C is built from an even and an odd half of
-    half the size (`_path_from_halves`). Otherwise each body also solves
-    for its g_hi data, and C comes from the two whole spans
-    (`_path_from_spans`).
+    The g_lo solutions of the body flipped under line j -> nz - j (`_flip`)
+    are the g_hi solutions of the body with their lines reversed, and the
+    reflection R (v0, dv0, vL, dvL) = (vL, -dvL, v0, -dv0) maps the jets of
+    the one to those of the other exactly: the one-sided trace weights of
+    the two sides differ in the sign of the odd orders. When both bodies
+    are their own flip (`_mirrored`; a line-invariant body always is, and
+    so is the minus body with a symmetric bump), C commutes with R and is
+    built from two parity halves (`_path_from_halves`). Otherwise it comes
+    from the two whole spans (`_path_from_spans`), and a body that is not
+    its own flip also solves its flip with the same solver; the
+    certificates are the largest over all solves.
     """
     m, p, layout = _strip_setup(opd)
     grid = opd.grid
     nz, k = grid.nz, p + 2
     kept = np.r_[0 : k + 1, nz - k : nz + 1]  # the lines that _jet_rows reads
     blocks = {side: _body_blocks(opd, side) for side in (+1, -1)}
-    full = not all(_mirrored(b) for b in blocks.values())  # solve for g_hi too
+    halves = all(_mirrored(b) for b in blocks.values())
+
+    def solve(body, side, where):  # jet rows of the g_lo solutions, certificates
+        solver, route, name = ((_dst_body, "z modes", "mode_backward_error")
+                               if _line_invariant(body) else
+                               (_sweep_body, "sweep", "line_backward_error"))
+        u, err = solver(body, kept, f"strip {route}, {where}")
+        rows, stability = _jet_rows(u, grid.hz, m, p, side)
+        return rows, {name: err, "trace_stability": stability}
 
     def side_data(side):
         body = blocks.pop(side)  # freed once this body is solved
-        if _line_invariant(body):
-            u, err = _dst_body(body, kept, side, full)
-            name = "mode_backward_error"
-        else:
-            u, err = _sweep_body(body, kept, side, full)
-            name = "line_backward_error"
-        rows, stability = _jet_rows(u, grid.hz, m, p, side)
-        data = np.concatenate(rows) if full else _parity_halves(*rows)
-        return data, {name: err, "trace_stability": stability}
+        rows, certs = solve(body, side, f"side {side:+d}")
+        if halves:
+            return _parity_halves(*rows), certs
+        (v0, dv0, vl, dvl), flip_certs = ((rows, certs) if _mirrored(body) else
+                                          solve(_flip(body), side, f"side {side:+d}, flipped"))
+        certs = {name: max(value, flip_certs[name]) for name, value in certs.items()}
+        return np.hstack([np.concatenate(rows), np.concatenate([vl, -dvl, v0, -dv0])]), certs
 
-    return (_path_from_spans if full else _path_from_halves)(opd, side_data, layout)
+    return (_path_from_halves if halves else _path_from_spans)(opd, side_data, layout)
 
 
 def _path_from_halves(opd, side_halves, layout):
@@ -481,10 +495,9 @@ def _path_from_halves(opd, side_halves, layout):
     mirror, from the even and odd halves of each body's g_lo data,
     side_halves(side) -> (`_parity_halves`, certificates).
 
-    The reflection R (v0, dv0, vL, dvL) = (vL, -dvL, v0, -dv0) maps the g_lo
-    data J of a mirrored body to its g_hi data, exactly (the one-sided trace
-    weights of the two sides differ in the sign of the odd orders), so its
-    span is [J | R J] and C commutes with R. The orthogonal butterflies
+    The reflection R maps the g_lo data J of a mirrored body to its g_hi
+    data (see _path_spaces_sweep), so its span is [J | R J] and C commutes
+    with R. The orthogonal butterflies
     E = [I 0; 0 I; I 0; 0 -I] / sqrt 2 and O = [I 0; 0 I; -I 0; 0 I] / sqrt 2
     span the even and the odd data, and a body's even and odd halves are
     spanned by E^T J and O^T J, of 2n x n for n = ns - 1. So
@@ -608,91 +621,76 @@ def _line_invariant(blocks):
     return bool(np.all(inner == inner[0]) and np.array_equal(inner[0, 0], inner[0, 2]))
 
 
+def _flip(blocks):
+    """The body flipped under line j -> nz - j: line j of the flip is line
+    nz - j of the body, with A and C swapped."""
+    return blocks[::-1, ::-1]
+
+
 def _mirrored(blocks):
-    """The body is its own mirror under line j -> nz - j: exactly
-    B_{nz-j} = B_j and A_{nz-j} = C_j for j = 1..nz-1. Its g_hi solutions
-    are then its g_lo solutions reflected."""
-    inner = blocks[1:-1]
-    flip = inner[::-1]
-    return bool(np.array_equal(inner[:, 1], flip[:, 1]) and np.array_equal(inner[:, 0], flip[:, 2]))
+    """The body is exactly its own flip on the interior lines j = 1..nz-1.
+    Its g_hi solutions are then its g_lo solutions reflected."""
+    return bool(np.array_equal(blocks[1:-1], _flip(blocks)[1:-1]))
 
 
-def _dst_body(blocks, kept, side, full):
+def _dst_body(blocks, kept, where):
     """`_sweep_body` for a line-invariant body (`_line_invariant`), one sine
-    mode in z at a time. The orthonormal DST-I S over the interior lines
-    block-diagonalises the line system: mode l = 1..nz-1 solves
-    (B + 2 cos(pi l / nz) A) X_l = A. The solutions with g_lo = e_c are
-    -sum_l S_jl S_l1 X_l on line j; with `full`, those with g_hi = e_c
-    follow, with the sign (-1)^(l+1) in the sum, since
-    S_l,nz-1 = (-1)^(l+1) S_l1. Only the kept lines are transformed back.
-    The blocks are exactly the same on every line and S is orthonormal, so
-    each mode's backward error (returned, and bounded by SWEEP_TOL in
-    `_mode_solves`) certifies the line equations."""
+    mode in z at a time: with the orthonormal DST-I S over the interior
+    lines, mode l = 1..nz-1 solves (B + 2 cos(pi l / nz) A) X_l = A, and
+    the solutions are -sum_l S_jl S_l1 X_l on the kept lines j. The blocks
+    are the same on every line and S is orthonormal, so each mode's
+    backward error (returned; `_mode_solves` bounds it by SWEEP_TOL and
+    names `where`) certifies the line equations."""
     nz, n = blocks.shape[0] - 1, blocks.shape[-1]
     a, b = blocks[1, 0], blocks[1, 1]
     modes = np.arange(1, nz)
     x, err = _mode_solves(b + 2.0 * np.cos(np.pi * modes / nz)[:, None, None] * a,
-                          _tri_mul(a, np.eye(n, dtype=blocks.dtype)),
-                          f"strip z modes, side {side:+d}")
+                          _tri_mul(a, np.eye(n, dtype=blocks.dtype)), where)
     smat = _sine_matrix(nz)
     inner = (kept > 0) & (kept < nz)
     weights = smat[kept[inner] - 1] * smat[0]  # S_jl S_l1 on the kept interior lines
-    sums = [weights, weights * (-1.0) ** (modes + 1)] if full else [weights]
-    out = np.zeros((kept.size, n, len(sums) * n), dtype=x.dtype)
-    out[inner] = -np.concatenate([np.tensordot(w, x, axes=(1, 0)) for w in sums], axis=2)
-    out[kept == 0, :, :n] = np.eye(n)
-    if full:
-        out[kept == nz, :, n:] = np.eye(n)
+    out = np.zeros((kept.size, n, n), dtype=x.dtype)
+    out[inner] = -np.tensordot(weights, x, axes=(1, 0))
+    out[kept == 0] = np.eye(n)
     return out, err
 
 
-def _sweep_body(blocks, kept, side, full):
-    """Unit-data solutions of one body on its lines `kept`, as an array
-    (line, s node, solution); solution c has g_lo = e_c and, with `full`,
-    solution n + c has g_hi = e_c. Without `full` the sweep carries M_j
-    alone. Also returns the largest normwise backward error
+def _sweep_body(blocks, kept, where):
+    """Solutions of one body with g_lo = e_c and g_hi = 0 on its lines
+    `kept`, as an array (line, s node, c). Also returns the largest
+    normwise backward error
     |A u_{j-1} + B u_j + C u_{j+1}| / (|A||u_{j-1}| + |B||u_j| + |C||u_{j+1}|)
     of a line equation, over all the solutions; above SWEEP_TOL, or on a
-    singular K_j, raises SolveFailure."""
+    singular K_j, raises SolveFailure naming `where` and the line."""
     nz, n = blocks.shape[0] - 1, blocks.shape[-1]
-    width = 2 * n if full else n  # columns carried: [M_j | N_j], or M_j
     eye = np.eye(n, dtype=blocks.dtype)
-    zero = np.zeros_like(eye)
-    steps = np.empty((nz, n, width), dtype=blocks.dtype)  # [M_j | N_j], or M_j, at j
-    step = np.hstack([zero, eye])[:, :width]  # u_nz = g_hi
+    steps = np.empty((nz, n, n), dtype=blocks.dtype)  # M_j at j
+    step = zero = np.zeros_like(eye)  # u_nz = g_hi = 0
     for j in range(nz - 1, 0, -1):
         a, b, c = blocks[j]
-        cs = _tri_mul(c, step)  # [C_j M_{j+1} | C_j N_{j+1}]
-        try:  # inverse and product: faster than a solve with 2n right-hand sides
-            kinv = sla.inv(cs[:, :n] + _tri_mul(b, eye), check_finite=False)
+        try:  # inverse and product: faster than a solve with n right-hand sides
+            kinv = sla.inv(_tri_mul(c, step) + _tri_mul(b, eye), check_finite=False)
         except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"strip sweep, side {side:+d}, line {j}: {exc}") from None
-        if full:
-            step = kinv @ -np.hstack([_tri_mul(a, eye), cs[:, n:]])
-        elif a[0].any() or a[2].any():
+            raise SolveFailure(f"{where}, line {j}: {exc}") from None
+        if a[0].any() or a[2].any():
             step = kinv @ -_tri_mul(a, eye)
         else:  # A_j diagonal: M_j is a column scaling of K_j^-1
             step = kinv * -a[1]
         steps[j] = step
-    out = np.empty((kept.size, n, width), dtype=blocks.dtype)
-    lo, mid = None, np.hstack([eye, zero])[:, :width]  # u_0 = g_lo
+    out = np.empty((kept.size, n, n), dtype=blocks.dtype)
+    lo, mid = None, eye  # u_0 = g_lo
     norm_lo, norm_mid = None, fro(mid)  # |u_{j-2}|, |u_{j-1}|, carried forward
     worst = 0.0
     for j in range(1, nz + 1):
         out[kept == j - 1] = mid
-        if j < nz:
-            hi = steps[j][:, :n] @ mid
-            if full:
-                hi[:, n:] += steps[j][:, n:]
-        else:
-            hi = np.hstack([zero, eye])[:, :width]
+        hi = steps[j] @ mid if j < nz else zero
         norm_hi = fro(hi)
         if lo is not None:
             a, b, c = blocks[j - 1]
             res = fro(_tri_mul(a, lo) + _tri_mul(b, mid) + _tri_mul(c, hi))
             err = res / (fro(a) * norm_lo + fro(b) * norm_mid + fro(c) * norm_hi)
             if not err <= SWEEP_TOL:
-                raise SolveFailure(f"strip sweep, side {side:+d}, line {j - 1}: "
+                raise SolveFailure(f"{where}, line {j - 1}: "
                                    f"backward error {err:.3e} exceeds {SWEEP_TOL:.0e}")
             worst = max(worst, err)
         lo, mid = mid, hi
@@ -977,9 +975,10 @@ def _wave_probe(path, freq, csym, window):
     return errs, leak
 
 
-def normal_probe(path, ext, tau, envelope):
+def normal_probe(path, tau, envelope):
     """Compare the discrete projector against the normal-family projector on
-    oscillatory boundary data (standing wave in s) x (unit jet pattern).
+    oscillatory boundary data (standing wave in s) x (unit jet pattern),
+    with the normal family of the bump that `path` was assembled with.
 
     The requested tau snaps to the nearest Dirichlet-compatible frequency of
     the truncated s-interval, for which the doubled problem separates
@@ -992,6 +991,7 @@ def normal_probe(path, ext, tau, envelope):
     if path.layout["geometry"] != "StripHyperbolic":
         raise GeometryMismatch("normal_probe runs on the strip geometry")
     tau_snap = _snap_frequency(tau, path.operator.grid.S)
+    ext = FibreExtension(path.operator.grid.L, path.operator.bump)
     c4 = normal_calderon(path.operator.model, (tau_snap,), ext).matrix
     errs, _ = _wave_probe(path, tau_snap, c4, envelope)
     return ProbeReport(max(errs), tuple(errs),

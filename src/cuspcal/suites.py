@@ -503,7 +503,7 @@ def c11_normal_probe(seed):
         grid = PhiGrid("StripHyperbolic", S=STRIP_S, ns=n, L=1.0, nz=n)
         dop = double_geometry(grid, discretize(op, grid), bump=ext.bump)
         path = calderon_path_spaces(dop)
-        rep = normal_probe(path, ext, 1.0, (6.0, 11.0))
+        rep = normal_probe(path, 1.0, (6.0, 11.0))
         errs.append(rep.error)
         rows.append({"n": n, "h": grid.hs, "probe_error": rep.error,
                      "tau_snapped": rep.details["tau_snapped"],

@@ -229,6 +229,16 @@ class TestDoubleGeometry:
         with pytest.raises(GeometryMismatch, match="is not the grid of the operator"):
             double_geometry(PhiGrid("HalfLineToy", S=6.0, ns=64), discretize(halfline_toy(), toy))
 
+    @pytest.mark.parametrize("support", [(0.5, 1.5), (1.5, 2.5), (0.2, 0.8)])
+    def test_strip_bump_must_lie_in_the_minus_side(self, support):
+        # the assembler used to clip such a bump at z = L or 2L, silently
+        grid = PhiGrid("StripHyperbolic", S=6.0, ns=16, L=1.0, nz=16)
+        single = discretize(strip_laplacian(), grid)
+        with pytest.raises(ValueError, match="bump support must lie inside the minus side"):
+            double_geometry(grid, single, bump=Bump(1.0, support))
+        assert single.bump is None
+        assert double_geometry(grid, single, bump=DEFAULT_BUMP).bump == DEFAULT_BUMP
+
     def test_strip_grid_must_span_the_fibre(self):
         # L = 2 on a fibre of length 1 used to assemble, and path A returned
         # a projector for it
@@ -458,29 +468,37 @@ def doubled_strip(coefficients, n, nz=None, bump=DEFAULT_BUMP):
     return double_geometry(grid, discretize(op, grid), bump=bump)
 
 
-def lu_oracle(dop):
-    """Strip path A by a complex sparse LU of each whole body, solving for
-    every unknown: the oracle of the sweep and of the mode route."""
-    m, p, layout = discrete._strip_setup(dop)
+def lu_body_data(dop, side):
+    """Boundary jets (v0, dv0, vL, dvL) of one strip body's unit-data
+    solutions by a complex sparse LU of the whole body, solving for every
+    unknown: columns 0..n-1 have g_lo = e_c, columns n..2n-1 g_hi = e_c.
+    Also returns the larger trace stability."""
+    m, p, _ = discrete._strip_setup(dop)
     grid = dop.grid
     ns, nj = grid.ns, grid.nz + 1
     ii, jl = np.meshgrid(np.arange(ns + 1), np.arange(nj), indexing="ij")
     interior = ((ii != 0) & (ii != ns) & (jl != 0) & (jl != nj - 1)).ravel()
     lines = np.arange(1, ns) * nj
     data = np.concatenate([lines, lines + nj - 1])  # unit data at jl = 0, then nj - 1
+    gidx = (ii * 2 * grid.nz + discrete._body_lines(grid, side)[jl]).ravel()
+    mat = (sp.diags(interior.astype(float)) @ dop.matrix[gidx][:, gidx]
+           + sp.diags(1.0 - interior)).tocsc()
+    rhs = np.zeros((gidx.size, data.size), dtype=complex)
+    rhs[data, np.arange(data.size)] = 1.0
+    u = spla.splu(mat).solve(rhs)
+    u = u.reshape(ns + 1, nj, -1)[1:ns].transpose(1, 0, 2)
+    rows, stability = discrete._jet_rows(u, grid.hz, m, p, side)
+    return np.concatenate(rows), stability
 
+
+def lu_oracle(dop):
+    """Strip path A from `lu_body_data` of each body: the oracle of the
+    sweep and of the mode route."""
     def side_span(side):
-        gidx = (ii * 2 * grid.nz + discrete._body_lines(grid, side)[jl]).ravel()
-        mat = (sp.diags(interior.astype(float)) @ dop.matrix[gidx][:, gidx]
-               + sp.diags(1.0 - interior)).tocsc()
-        rhs = np.zeros((gidx.size, data.size), dtype=complex)
-        rhs[data, np.arange(data.size)] = 1.0
-        u = spla.splu(mat).solve(rhs)
-        u = u.reshape(ns + 1, nj, -1)[1:ns].transpose(1, 0, 2)
-        rows, stability = discrete._jet_rows(u, grid.hz, m, p, side)
-        return np.concatenate(rows), {"trace_stability": stability}
+        data, stability = lu_body_data(dop, side)
+        return data, {"trace_stability": stability}
 
-    return discrete._path_from_spans(dop, side_span, layout)
+    return discrete._path_from_spans(dop, side_span, discrete._strip_setup(dop)[2])
 
 
 # s-separable: x-independent coefficients, even powers of x^2 D_x only
@@ -517,15 +535,14 @@ def relative_gap(a, b):
 
 
 def recording_routes(monkeypatch):
-    """(solver, projector route) of each strip body, in the order of the
-    bodies: the solver is "z modes" or "sweep"; the route is "halves" when
-    the body solves for its g_lo data alone (both bodies mirrored), else
-    "spans"."""
+    """(solver, what it solves) of each strip body solve, in order: the
+    solver is "z modes" or "sweep"; it solves the "body", or its "flip",
+    whose g_lo solutions give the body's g_hi data on the two-span route."""
     seen = []
     for name, solver in (("_dst_body", "z modes"), ("_sweep_body", "sweep")):
-        def record(blocks, kept, side, full, solve=getattr(discrete, name), solver=solver):
-            seen.append((solver, "spans" if full else "halves"))
-            return solve(blocks, kept, side, full)
+        def record(blocks, kept, where, solve=getattr(discrete, name), solver=solver):
+            seen.append((solver, "flip" if where.endswith("flipped") else "body"))
+            return solve(blocks, kept, where)
 
         monkeypatch.setattr(discrete, name, record)
     return seen
@@ -533,8 +550,7 @@ def recording_routes(monkeypatch):
 
 def two_spans(dop):
     """_path_spaces_sweep with no body taken for its own mirror: every body
-    solves for the data of both interfaces, and C comes from the whole
-    spans."""
+    also solves its flip, and C comes from the whole spans."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(discrete, "_mirrored", lambda blocks: False)
         return _path_spaces_sweep(dop)
@@ -679,14 +695,23 @@ class TestStripRoutes:
 
     def test_singular_line_block_raises(self, monkeypatch):
         # the sweep runs down from line nz - 1 = 23 of the first body that
-        # sweeps: the plus body of the xz-dependent operator (two spans), the
-        # minus body of the x-dependent one (parity halves)
+        # sweeps: the plus body of the xz-dependent operator (before its
+        # flip), the minus body of the x-dependent one (parity halves)
         for name, side in (("xz-dependent", r"\+1"), ("x-dependent", "-1")):
             monkeypatch.setattr(discrete, "sla", failing_at(5, "inv", "singular matrix"))
             dop = doubled_strip(NOT_SEPARABLE[name], 24)
             with pytest.raises(SolveFailure,
                                match=rf"^strip sweep, side {side}, line 19: singular matrix$"):
                 calderon_path_spaces(dop)
+
+    def test_singular_line_block_in_flip_raises(self, monkeypatch):
+        # the plus body of the xz-dependent operator takes 23 inverses, then
+        # its flip sweeps down from its line 23: the 28th inverse is line 19
+        monkeypatch.setattr(discrete, "sla", failing_at(28, "inv", "singular matrix"))
+        dop = doubled_strip(NOT_SEPARABLE["xz-dependent"], 24)
+        with pytest.raises(SolveFailure,
+                           match=r"^strip sweep, side \+1, flipped, line 19: singular matrix$"):
+            calderon_path_spaces(dop)
 
     def test_backward_error_above_bound_raises(self, monkeypatch):
         monkeypatch.setattr(discrete, "SWEEP_TOL", 1e-30)
@@ -719,14 +744,16 @@ class TestStripRoutes:
 
     @pytest.mark.parametrize("n", (24, 48))
     @pytest.mark.parametrize("name,bump,routes", [
-        ("x-dependent", DEFAULT_BUMP, (("z modes", "halves"), ("sweep", "halves"))),
-        ("x-dependent complex", DEFAULT_BUMP, (("z modes", "halves"), ("sweep", "halves"))),
+        ("x-dependent", DEFAULT_BUMP, (("z modes", "body"), ("sweep", "body"))),
+        ("x-dependent complex", DEFAULT_BUMP, (("z modes", "body"), ("sweep", "body"))),
         # asymmetric about 3L/2: the minus body is not its own mirror
-        ("x-dependent", Bump(1.0, (1.1, 1.7)), (("z modes", "spans"), ("sweep", "spans"))),
-        ("x-dependent complex", Bump(1.0, (1.1, 1.7)), (("z modes", "spans"), ("sweep", "spans"))),
-        ("x-dependent", None, (("z modes", "halves"), ("z modes", "halves"))),
-        ("cross", DEFAULT_BUMP, (("sweep", "spans"), ("sweep", "spans"))),
-        ("xz-dependent", DEFAULT_BUMP, (("sweep", "spans"), ("sweep", "spans"))),
+        ("x-dependent", Bump(1.0, (1.1, 1.7)),
+         (("z modes", "body"), ("sweep", "body"), ("sweep", "flip"))),
+        ("x-dependent complex", Bump(1.0, (1.1, 1.7)),
+         (("z modes", "body"), ("sweep", "body"), ("sweep", "flip"))),
+        ("x-dependent", None, (("z modes", "body"), ("z modes", "body"))),
+        ("cross", DEFAULT_BUMP, (("sweep", "body"), ("sweep", "flip")) * 2),
+        ("xz-dependent", DEFAULT_BUMP, (("sweep", "body"), ("sweep", "flip")) * 2),
     ])
     def test_body_routes_match_lu_oracle(self, name, bump, routes, n, monkeypatch):
         dop = doubled_strip(NOT_SEPARABLE[name], n, bump=bump)
@@ -754,7 +781,8 @@ class TestStripRoutes:
         seen = recording_routes(monkeypatch)
         path = calderon_path_spaces(dop)
         spans = two_spans(dop)
-        assert [route for _, route in seen] == ["halves", "halves", "spans", "spans"]
+        # two bodies alone, then every body and its flip
+        assert [solve for _, solve in seen] == ["body"] * 2 + ["body", "flip"] * 2
         assert relative_gap(path, spans) <= 1e-12
         assert relative_gap(path, lu_oracle(dop)) <= 1e-11
         bases = (path.projector.range_basis, path.projector.kernel_basis)
@@ -775,32 +803,28 @@ class TestStripRoutes:
         seen = recording_routes(monkeypatch)
         c = calderon_path_spaces(
             doubled_strip(NOT_SEPARABLE["x-dependent"], n, bump=bump)).projector.matrix
-        assert {r for _, r in seen} == {route}
+        assert ("flip" in {solve for _, solve in seen}) == (route == "spans")
         r = reflection(n - 1)
         defect = fro(r @ c - c @ r) / fro(c)
         assert defect <= 1e-13 if route == "halves" else defect > 1e-6
 
     @pytest.mark.parametrize("name,side", [("x-dependent", -1), ("cross", +1)])
-    def test_mirror_branch_matches_full_sweep(self, name, side):
-        # the g_lo sweep (M_j alone) against the first n columns of the full
-        # sweep ([M_j | N_j]), on a body made its own mirror and on the body
-        # as assembled; A_j is diagonal for the x-dependent operator,
-        # tridiagonal for the cross term
-        blocks = discrete._body_blocks(
-            doubled_strip(NOT_SEPARABLE[name], 24, bump=Bump(1.0, (1.1, 1.7))), side)
+    def test_flip_gives_the_far_data(self, name, side):
+        # R on the jets of the flipped body's g_lo solutions against the g_hi
+        # columns of a whole-body LU, on a body that is not its own mirror;
+        # A_j is diagonal for the x-dependent operator, tridiagonal for the
+        # cross term
+        dop = doubled_strip(NOT_SEPARABLE[name], 24, bump=Bump(1.0, (1.1, 1.7)))
+        blocks = discrete._body_blocks(dop, side)
         assert not discrete._mirrored(blocks)
-        mirrored = blocks.copy()
-        mirrored[13:24] = mirrored[11:0:-1, ::-1]  # line j > 12 copies line 24 - j, A and C swapped
-        mirrored[12, 2] = mirrored[12, 0]
-        assert discrete._mirrored(mirrored)
         assert bool(blocks[1:-1, 0, [0, 2]].any()) == (name == "cross")
-        kept = np.r_[0:6, 19:25]
-        for b in (mirrored, blocks):
-            u, err = discrete._sweep_body(b, kept, side, False)
-            ref, ref_err = discrete._sweep_body(b, kept, side, True)
-            assert u.shape[2] == 23 and ref.shape[2] == 46
-            assert fro(u - ref[:, :, :23]) <= 1e-13 * fro(ref[:, :, :23])
-            assert 0.0 < err <= discrete.SWEEP_TOL and 0.0 < ref_err <= discrete.SWEEP_TOL
+        m, p, _ = discrete._strip_setup(dop)
+        u, err = discrete._sweep_body(discrete._flip(blocks), np.r_[0:6, 19:25], "flip")
+        (v0, dv0, vl, dvl), _ = discrete._jet_rows(u, dop.grid.hz, m, p, side)
+        far = np.concatenate([vl, -dvl, v0, -dv0])
+        ref = lu_body_data(dop, side)[0][:, 23:]
+        assert fro(far - ref) <= 1e-12 * fro(ref)
+        assert 0.0 < err <= discrete.SWEEP_TOL
 
     @pytest.mark.parametrize("name,rank_tol,reason", [certificate_case(*case) for case in [
         ("laplacian", 0.5, r"range dim 32 \+ kernel dim 32 != ambient dim 92"),
@@ -842,36 +866,31 @@ class TestStripRoutes:
 @pytest.fixture(scope="module")
 def strip_path():
     op = strip_laplacian()
-    ext = FibreExtension.with_default_bump(1.0)
     grid = PhiGrid("StripHyperbolic", S=12.0, ns=96, L=1.0, nz=96)
-    dop = double_geometry(grid, discretize(op, grid), bump=ext.bump)
-    return calderon_path_spaces(dop), ext
+    dop = double_geometry(grid, discretize(op, grid), bump=DEFAULT_BUMP)
+    return calderon_path_spaces(dop)
 
 
 class TestProbes:
 
     def test_normal_probe_small_error(self, strip_path):
-        path, ext = strip_path
-        rep = normal_probe(path, ext, 1.0, (6.0, 11.0))
+        rep = normal_probe(strip_path, 1.0, (6.0, 11.0))
         assert rep.error <= 5e-2
         assert abs(rep.details["tau_snapped"] - 1.0) < 0.3
 
     def test_normal_probe_tau_zero_reported(self, strip_path):
-        path, ext = strip_path
-        rep = normal_probe(path, ext, 0.0, (6.0, 11.0))
+        rep = normal_probe(strip_path, 0.0, (6.0, 11.0))
         assert np.isfinite(rep.error)
 
     def test_normal_probe_outside_cusp_larger(self, strip_path):
-        path, ext = strip_path
-        deep = normal_probe(path, ext, 1.0, (6.0, 11.0))
-        near = normal_probe(path, ext, 1.0, (1.2, 3.0))
+        deep = normal_probe(strip_path, 1.0, (6.0, 11.0))
+        near = normal_probe(strip_path, 1.0, (1.2, 3.0))
         assert np.isfinite(near.error)
         # reported, not asserted: the deep-cusp window is the good regime
         assert deep.error <= near.error * 50
 
     def test_symbol_probe_strip(self, strip_path):
-        path, _ = strip_path
-        rep = symbol_probe(path, xi=8.0, point=6.0, width=2.0)
+        rep = symbol_probe(strip_path, xi=8.0, point=6.0, width=2.0)
         assert rep.error <= 0.2
         assert rep.details["leakage"] <= 0.05
 
@@ -884,14 +903,13 @@ class TestProbes:
         path = calderon_path_spaces(double_geometry(grid, discretize(op, grid), bump=ext.bump))
         with pytest.raises(ValueError, match="does not meet the grid"):
             if probe == "normal":
-                normal_probe(path, ext, 1.0, (49.0, 51.0))
+                normal_probe(path, 1.0, (49.0, 51.0))
             else:
                 symbol_probe(path, xi=8.0, point=50.0, width=1.0)
 
     def test_symbol_probe_zero_data(self, strip_path):
-        path, _ = strip_path
-        d = np.zeros(path.layout["data_dim"], dtype=complex)
-        assert np.linalg.norm(path.projector.matrix @ d) == 0.0
+        d = np.zeros(strip_path.layout["data_dim"], dtype=complex)
+        assert np.linalg.norm(strip_path.projector.matrix @ d) == 0.0
 
     def test_symbol_probe_toy(self):
         op = halfline_toy(q=1.0)
@@ -914,8 +932,23 @@ class TestProbes:
         grid = PhiGrid("StripHyperbolic", S=12.0, ns=64, L=1.0, nz=64)
         dop = double_geometry(grid, discretize(op, grid), bump=ext.bump)
         path = calderon_path_spaces(dop)
-        rep = normal_probe(path, ext, 1.0, (6.0, 11.0))
+        rep = normal_probe(path, 1.0, (6.0, 11.0))
         assert rep.error <= 2e-2
+
+    @pytest.mark.parametrize("bump", [Bump(50.0, (1.15, 1.85)), Bump(1.0, (1.1, 1.3))])
+    def test_normal_probe_uses_the_assembled_bump(self, bump, monkeypatch):
+        # the probe used to take the extension as an argument; against the
+        # default bump's normal family these paths read 0.41 and 0.032, and
+        # against their own 0.0010 and 0.0025
+        grid = PhiGrid("StripHyperbolic", S=12.0, ns=64, L=1.0, nz=32)
+        dop = double_geometry(grid, discretize(strip_laplacian(), grid), bump=bump)
+        assert dop.bump == bump
+        exts, normal = [], discrete.normal_calderon
+        monkeypatch.setattr(discrete, "normal_calderon",
+                            lambda op, mu, ext: exts.append(ext) or normal(op, mu, ext))
+        rep = normal_probe(calderon_path_spaces(dop), 1.0, (5.4, 10.9))
+        assert exts == [FibreExtension(1.0, bump)]
+        assert rep.error <= 1e-2
 
     def test_symbol_probe_refinement_trend(self):
         op = strip_laplacian()
